@@ -24,9 +24,7 @@ std::string DataTypeName(DataType type) {
 
 double Datum::AsDouble() const {
   if (is_bool()) return bool_value() ? 1.0 : 0.0;
-  if (std::holds_alternative<int64_t>(v_)) {
-    return static_cast<double>(std::get<int64_t>(v_));
-  }
+  if (is_integral()) return static_cast<double>(IntegralValue());
   return double_value();
 }
 
@@ -42,10 +40,9 @@ bool Datum::Compare(const Datum& other, int* out, bool* null_result) const {
     *out = c < 0 ? -1 : (c > 0 ? 1 : 0);
     return true;
   }
-  // Fast path: both int64 (covers timestamps too).
-  if (std::holds_alternative<int64_t>(v_) &&
-      std::holds_alternative<int64_t>(other.v_)) {
-    int64_t a = std::get<int64_t>(v_), b = std::get<int64_t>(other.v_);
+  // Fast path: both integral (int64 or timestamp).
+  if (is_integral() && other.is_integral()) {
+    int64_t a = IntegralValue(), b = other.IntegralValue();
     *out = a < b ? -1 : (a > b ? 1 : 0);
     return true;
   }

@@ -155,8 +155,8 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   OdhScanCursorImpl(OdhReader* reader, int schema_type, SourceId id,
                     Timestamp lo, Timestamp hi, std::vector<int> wanted_tags,
                     std::vector<TagFilter> tag_filters, int num_tags,
-                    CompressionSpec spec,
-                    common::ScanCounters* counters = nullptr)
+                    CompressionSpec spec, common::ScanCounters* counters,
+                    bool count_pruning)
       : reader_(reader),
         schema_type_(schema_type),
         id_(id),
@@ -166,38 +166,31 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
         tag_filters_(std::move(tag_filters)),
         num_tags_(num_tags),
         codec_(spec),
-        counters_(counters) {
+        counters_(counters),
+        count_pruning_(count_pruning) {
     cache_usable_ = TagMaskOf(wanted_tags_, &tag_mask_);
   }
 
   ~OdhScanCursorImpl() { AbandonParallel(); }
 
+  Status Init(const RouteDecision& route) {
+    return id_ >= 0 ? InitHistorical(route) : InitSlice(route);
+  }
+
   Status InitHistorical(const RouteDecision& route) {
     SegmentScanStats seg_stats;
-    if (route.scan_rts) {
-      ODH_ASSIGN_OR_RETURN(auto blobs,
-                           reader_->store_->GetRts(schema_type_, id_, lo_,
-                                                   hi_, &seg_stats));
-      for (auto& b : blobs) {
-        queued_.push_back({BlobKind::kRts, std::move(b)});
-      }
+    ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
+                         reader_->ListConsistent(schema_type_, id_, route,
+                                                 lo_, hi_, &seg_stats,
+                                                 &dirty_));
+    for (auto& b : listing.rts) {
+      queued_.push_back({BlobKind::kRts, std::move(b)});
     }
-    if (route.scan_irts) {
-      ODH_ASSIGN_OR_RETURN(auto blobs,
-                           reader_->store_->GetIrts(schema_type_, id_, lo_,
-                                                    hi_, &seg_stats));
-      for (auto& b : blobs) {
-        queued_.push_back({BlobKind::kIrts, std::move(b)});
-      }
+    for (auto& b : listing.irts) {
+      queued_.push_back({BlobKind::kIrts, std::move(b)});
     }
-    if (route.scan_mg) {
-      ODH_ASSIGN_OR_RETURN(auto blobs,
-                           reader_->store_->GetMg(schema_type_,
-                                                  route.mg_group, lo_, hi_,
-                                                  &seg_stats));
-      for (auto& b : blobs) {
-        queued_.push_back({BlobKind::kMg, std::move(b)});
-      }
+    for (auto& b : listing.mg) {
+      queued_.push_back({BlobKind::kMg, std::move(b)});
     }
     CountSegmentsPruned(seg_stats);
     if (reader_->EffectiveParallelism() >= 2 && queued_.size() >= 2) {
@@ -213,7 +206,7 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
       }
     }
     if (!parallel_) PredecodeQueued();
-    return CollectDirty();
+    return Status::OK();
   }
 
   Status InitSlice(const RouteDecision& route) {
@@ -375,7 +368,7 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   /// Folds a store segment-elimination count into the reader-global and
   /// per-query counters.
   void CountSegmentsPruned(const SegmentScanStats& seg_stats) {
-    if (seg_stats.segments_pruned == 0) return;
+    if (!count_pruning_ || seg_stats.segments_pruned == 0) return;
     reader_->segments_pruned_.fetch_add(seg_stats.segments_pruned,
                                         std::memory_order_relaxed);
     if (counters_ != nullptr) {
@@ -828,6 +821,7 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   int num_tags_;
   ValueBlobCodec codec_;
   common::ScanCounters* counters_;  // Per-query profile; may be null.
+  bool count_pruning_;  // False for windows: the window loop counts.
 
   /// Chunked slice-scan state for one series structure: the next segment
   /// key to ask the store for, plus the not-yet-decoded remainder of the
@@ -1050,65 +1044,122 @@ class AggregateAccumulator {
 
 }  // namespace
 
-Result<std::unique_ptr<RecordCursor>> OdhReader::OpenHistorical(
+Result<OdhStore::HistoricalListing> OdhReader::ListConsistent(
+    int schema_type, SourceId id, const RouteDecision& route, Timestamp lo,
+    Timestamp hi, SegmentScanStats* seg_stats,
+    std::vector<OperationalRecord>* dirty) {
+  while (true) {
+    *seg_stats = SegmentScanStats{};
+    ODH_ASSIGN_OR_RETURN(
+        OdhStore::HistoricalListing listing,
+        store_->ListHistorical(schema_type, id, route.scan_rts,
+                               route.scan_irts, route.scan_mg, route.mg_group,
+                               lo, hi, seg_stats));
+    uint64_t flushed_through = 0;
+    dirty->clear();
+    ODH_RETURN_IF_ERROR(writer_->CollectDirty(schema_type, id, lo, hi, dirty,
+                                              &flushed_through));
+    // A flush whose put landed after the listing moved rows that are in
+    // neither half: fetch exactly those blobs.
+    ODH_ASSIGN_OR_RETURN(
+        bool caught_up,
+        store_->CatchUpHistorical(schema_type, id, route.scan_rts,
+                                  route.scan_irts, route.scan_mg,
+                                  route.mg_group, lo, hi, flushed_through,
+                                  &listing));
+    if (caught_up) return listing;
+  }
+}
+
+Result<ScanTarget> OdhReader::ResolveScan(int schema_type, SourceId id) {
+  ScanTarget target;
+  target.schema_type = schema_type;
+  target.id = id;
+  if (id >= 0) {
+    ODH_ASSIGN_OR_RETURN(target.route,
+                         router_->RouteHistorical(schema_type, id));
+  } else {
+    ODH_ASSIGN_OR_RETURN(target.route, router_->RouteSlice(schema_type));
+  }
+  return target;
+}
+
+Result<std::unique_ptr<OdhScanCursorImpl>> OdhReader::OpenScan(
     int schema_type, SourceId id, Timestamp lo, Timestamp hi,
-    const std::vector<int>& wanted_tags,
-    std::vector<TagFilter> tag_filters, common::ScanCounters* counters) {
+    const std::vector<int>& wanted_tags, std::vector<TagFilter> tag_filters,
+    common::ScanCounters* counters, const ScanTarget* window) {
   ODH_ASSIGN_OR_RETURN(const SchemaType* type,
                        config_->GetSchemaType(schema_type));
-  ODH_ASSIGN_OR_RETURN(RouteDecision route,
-                       router_->RouteHistorical(schema_type, id));
+  ScanTarget routed;
+  if (window == nullptr) {
+    ODH_ASSIGN_OR_RETURN(routed, ResolveScan(schema_type, id));
+  }
   auto cursor = std::make_unique<OdhScanCursorImpl>(
       this, schema_type, id, lo, hi, wanted_tags, std::move(tag_filters),
-      static_cast<int>(type->tag_names.size()), type->compression, counters);
-  ODH_RETURN_IF_ERROR(cursor->InitHistorical(route));
+      static_cast<int>(type->tag_names.size()), type->compression, counters,
+      /*count_pruning=*/window == nullptr);
+  ODH_RETURN_IF_ERROR(
+      cursor->Init(window != nullptr ? window->route : routed.route));
+  return cursor;
+}
+
+void OdhReader::CountSegmentsPruned(const ScanTarget& target,
+                                    const std::vector<SegmentBounds>& bounds,
+                                    Timestamp lo, Timestamp hi,
+                                    common::ScanCounters* counters) {
+  auto pruned = [lo, hi](const ContainerStats& s) {
+    return s.blob_count > 0 && (s.max_ts < lo || s.min_ts > hi);
+  };
+  int64_t n = 0;
+  for (const SegmentBounds& seg : bounds) {
+    if (target.route.scan_rts && pruned(seg.rts)) ++n;
+    if (target.route.scan_irts && pruned(seg.irts)) ++n;
+    if (target.route.scan_mg && pruned(seg.mg)) ++n;
+  }
+  if (n == 0) return;
+  segments_pruned_.fetch_add(n, std::memory_order_relaxed);
+  if (counters != nullptr) {
+    counters->segments_pruned.fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
+Result<std::unique_ptr<RecordCursor>> OdhReader::OpenHistorical(
+    int schema_type, SourceId id, Timestamp lo, Timestamp hi,
+    const std::vector<int>& wanted_tags, std::vector<TagFilter> tag_filters,
+    common::ScanCounters* counters, const ScanTarget* window) {
+  ODH_ASSIGN_OR_RETURN(auto cursor,
+                       OpenScan(schema_type, id, lo, hi, wanted_tags,
+                                std::move(tag_filters), counters, window));
   return std::unique_ptr<RecordCursor>(std::move(cursor));
 }
 
 Result<std::unique_ptr<RecordCursor>> OdhReader::OpenSlice(
     int schema_type, Timestamp lo, Timestamp hi,
-    const std::vector<int>& wanted_tags,
-    std::vector<TagFilter> tag_filters, common::ScanCounters* counters) {
-  ODH_ASSIGN_OR_RETURN(const SchemaType* type,
-                       config_->GetSchemaType(schema_type));
-  ODH_ASSIGN_OR_RETURN(RouteDecision route,
-                       router_->RouteSlice(schema_type));
-  auto cursor = std::make_unique<OdhScanCursorImpl>(
-      this, schema_type, /*id=*/-1, lo, hi, wanted_tags,
-      std::move(tag_filters),
-      static_cast<int>(type->tag_names.size()), type->compression, counters);
-  ODH_RETURN_IF_ERROR(cursor->InitSlice(route));
+    const std::vector<int>& wanted_tags, std::vector<TagFilter> tag_filters,
+    common::ScanCounters* counters, const ScanTarget* window) {
+  ODH_ASSIGN_OR_RETURN(auto cursor,
+                       OpenScan(schema_type, /*id=*/-1, lo, hi, wanted_tags,
+                                std::move(tag_filters), counters, window));
   return std::unique_ptr<RecordCursor>(std::move(cursor));
 }
 
 Result<std::unique_ptr<RecordBatchCursor>> OdhReader::OpenHistoricalBatches(
     int schema_type, SourceId id, Timestamp lo, Timestamp hi,
-    const std::vector<int>& wanted_tags,
-    std::vector<TagFilter> tag_filters, common::ScanCounters* counters) {
-  ODH_ASSIGN_OR_RETURN(const SchemaType* type,
-                       config_->GetSchemaType(schema_type));
-  ODH_ASSIGN_OR_RETURN(RouteDecision route,
-                       router_->RouteHistorical(schema_type, id));
-  auto cursor = std::make_unique<OdhScanCursorImpl>(
-      this, schema_type, id, lo, hi, wanted_tags, std::move(tag_filters),
-      static_cast<int>(type->tag_names.size()), type->compression, counters);
-  ODH_RETURN_IF_ERROR(cursor->InitHistorical(route));
+    const std::vector<int>& wanted_tags, std::vector<TagFilter> tag_filters,
+    common::ScanCounters* counters, const ScanTarget* window) {
+  ODH_ASSIGN_OR_RETURN(auto cursor,
+                       OpenScan(schema_type, id, lo, hi, wanted_tags,
+                                std::move(tag_filters), counters, window));
   return std::unique_ptr<RecordBatchCursor>(std::move(cursor));
 }
 
 Result<std::unique_ptr<RecordBatchCursor>> OdhReader::OpenSliceBatches(
     int schema_type, Timestamp lo, Timestamp hi,
-    const std::vector<int>& wanted_tags,
-    std::vector<TagFilter> tag_filters, common::ScanCounters* counters) {
-  ODH_ASSIGN_OR_RETURN(const SchemaType* type,
-                       config_->GetSchemaType(schema_type));
-  ODH_ASSIGN_OR_RETURN(RouteDecision route,
-                       router_->RouteSlice(schema_type));
-  auto cursor = std::make_unique<OdhScanCursorImpl>(
-      this, schema_type, /*id=*/-1, lo, hi, wanted_tags,
-      std::move(tag_filters),
-      static_cast<int>(type->tag_names.size()), type->compression, counters);
-  ODH_RETURN_IF_ERROR(cursor->InitSlice(route));
+    const std::vector<int>& wanted_tags, std::vector<TagFilter> tag_filters,
+    common::ScanCounters* counters, const ScanTarget* window) {
+  ODH_ASSIGN_OR_RETURN(auto cursor,
+                       OpenScan(schema_type, /*id=*/-1, lo, hi, wanted_tags,
+                                std::move(tag_filters), counters, window));
   return std::unique_ptr<RecordBatchCursor>(std::move(cursor));
 }
 
@@ -1129,35 +1180,26 @@ Result<AggregateResult> OdhReader::Aggregate(
   const std::vector<int> decode_tags(needed.begin(), needed.end());
 
   // Candidate blobs, enumerated exactly like the scan paths (including the
-  // segment-manifest elimination the Get*/NextSliceChunk entry points do).
+  // segment-manifest elimination the Get*/NextSliceChunk entry points do),
+  // and the unflushed writer rows (dirty-read isolation). A single source's
+  // listing and collection form one consistent cut, as in the historical
+  // scan.
+  ODH_ASSIGN_OR_RETURN(ScanTarget target, ResolveScan(schema_type, id));
+  const RouteDecision& route = target.route;
   std::vector<QueuedBlob> blobs;
   auto add = [&blobs](BlobKind kind, std::vector<BlobRecord> recs) {
     for (auto& b : recs) blobs.push_back({kind, std::move(b)});
   };
   SegmentScanStats seg_stats;
+  std::vector<OperationalRecord> dirty;
   if (id >= 0) {
-    ODH_ASSIGN_OR_RETURN(RouteDecision route,
-                         router_->RouteHistorical(schema_type, id));
-    if (route.scan_rts) {
-      ODH_ASSIGN_OR_RETURN(auto recs,
-                           store_->GetRts(schema_type, id, lo, hi,
-                                          &seg_stats));
-      add(BlobKind::kRts, std::move(recs));
-    }
-    if (route.scan_irts) {
-      ODH_ASSIGN_OR_RETURN(auto recs,
-                           store_->GetIrts(schema_type, id, lo, hi,
-                                           &seg_stats));
-      add(BlobKind::kIrts, std::move(recs));
-    }
-    if (route.scan_mg) {
-      ODH_ASSIGN_OR_RETURN(auto recs,
-                           store_->GetMg(schema_type, route.mg_group, lo, hi,
-                                         &seg_stats));
-      add(BlobKind::kMg, std::move(recs));
-    }
+    ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
+                         ListConsistent(schema_type, id, route, lo, hi,
+                                        &seg_stats, &dirty));
+    add(BlobKind::kRts, std::move(listing.rts));
+    add(BlobKind::kIrts, std::move(listing.irts));
+    add(BlobKind::kMg, std::move(listing.mg));
   } else {
-    ODH_ASSIGN_OR_RETURN(RouteDecision route, router_->RouteSlice(schema_type));
     for (bool is_irts : {false, true}) {
       if (is_irts ? !route.scan_irts : !route.scan_rts) continue;
       OdhStore::SliceCursor seg_cursor;
@@ -1176,6 +1218,8 @@ Result<AggregateResult> OdhReader::Aggregate(
                                          &seg_stats));
       add(BlobKind::kMg, std::move(recs));
     }
+    ODH_RETURN_IF_ERROR(writer_->CollectDirty(schema_type, id, lo, hi,
+                                              &dirty));
   }
   if (seg_stats.segments_pruned > 0) {
     segments_pruned_.fetch_add(seg_stats.segments_pruned,
@@ -1428,10 +1472,8 @@ Result<AggregateResult> OdhReader::Aggregate(
     }
   }
 
-  // Unflushed writer buffers (dirty-read isolation): row-format, already
-  // filtered to [lo, hi] and `id` by the writer.
-  std::vector<OperationalRecord> dirty;
-  ODH_RETURN_IF_ERROR(writer_->CollectDirty(schema_type, id, lo, hi, &dirty));
+  // Unflushed writer buffers: row-format, already filtered to [lo, hi] and
+  // `id` by the writer.
   for (const auto& r : dirty) {
     if (r.ts < lo || r.ts > hi) continue;
     acc.AddRow(r.tags);

@@ -16,6 +16,7 @@
 namespace odh::core {
 
 class BlobCache;
+class OdhScanCursorImpl;
 
 /// Pull-based stream of decoded operational records. This is the shared
 /// read path: the native query API returns it directly (the paper's
@@ -81,6 +82,16 @@ struct ReadStats {
   int64_t segments_scanned_parallel = 0;
 };
 
+/// One query's scan, resolved once: the source (-1 = every source of the
+/// type, a slice) and the router's decision. A windowed top-k scan opens
+/// many time windows from one target, so it still costs one router lookup
+/// per query.
+struct ScanTarget {
+  int schema_type = 0;
+  SourceId id = -1;
+  RouteDecision route;
+};
+
 /// Per-tag accumulator returned by OdhReader::Aggregate. `count`/`sum`
 /// cover the non-NaN values of the tag among matching rows; min/max are
 /// valid only when `has_value`.
@@ -127,11 +138,16 @@ class OdhReader {
   /// caller still re-checks row-level predicates.
   /// `counters` (optional, must outlive the cursor) receives per-scan
   /// profile counts in addition to the reader-global atomics.
+  /// `window` (optional) marks the scan as one time window of a windowed
+  /// top-k scan, already routed by ResolveScan(schema_type, id): it makes
+  /// no router lookup and counts no segment pruning — the window loop
+  /// reports that once for the range it visited, via CountSegmentsPruned.
   Result<std::unique_ptr<RecordCursor>> OpenHistorical(
       int schema_type, SourceId id, Timestamp lo, Timestamp hi,
       const std::vector<int>& wanted_tags,
       std::vector<TagFilter> tag_filters = {},
-      common::ScanCounters* counters = nullptr);
+      common::ScanCounters* counters = nullptr,
+      const ScanTarget* window = nullptr);
 
   /// Slice query: all points of every source of the type in [lo, hi].
   /// Slice scans stream table iterators and stay sequential regardless of
@@ -140,7 +156,8 @@ class OdhReader {
       int schema_type, Timestamp lo, Timestamp hi,
       const std::vector<int>& wanted_tags,
       std::vector<TagFilter> tag_filters = {},
-      common::ScanCounters* counters = nullptr);
+      common::ScanCounters* counters = nullptr,
+      const ScanTarget* window = nullptr);
 
   /// Columnar variants of the scans above: one RecordBatch per decoded
   /// blob, no per-record materialization. Same routing, pruning, parallel
@@ -149,12 +166,33 @@ class OdhReader {
       int schema_type, SourceId id, Timestamp lo, Timestamp hi,
       const std::vector<int>& wanted_tags,
       std::vector<TagFilter> tag_filters = {},
-      common::ScanCounters* counters = nullptr);
+      common::ScanCounters* counters = nullptr,
+      const ScanTarget* window = nullptr);
   Result<std::unique_ptr<RecordBatchCursor>> OpenSliceBatches(
       int schema_type, Timestamp lo, Timestamp hi,
       const std::vector<int>& wanted_tags,
       std::vector<TagFilter> tag_filters = {},
-      common::ScanCounters* counters = nullptr);
+      common::ScanCounters* counters = nullptr,
+      const ScanTarget* window = nullptr);
+
+  /// Routes a scan of `id` (< 0: slice over every source): the one router
+  /// lookup a windowed scan makes. NotFound for an unknown id.
+  Result<ScanTarget> ResolveScan(int schema_type, SourceId id);
+
+  /// Segment manifests for window planning (see OdhStore::SegmentBoundsOf).
+  std::vector<SegmentBounds> SegmentBoundsOf(int schema_type) const {
+    return store_->SegmentBoundsOf(schema_type);
+  }
+
+  /// Counts, into the reader and `counters`, the segments of `bounds` that
+  /// an ordinary scan of `target` over [lo, hi] would skip by their data
+  /// bounds — non-empty structures the route visits, disjoint from
+  /// [lo, hi]. A window loop calls it once with the range it visited, so
+  /// segments it never opened count as pruned exactly once.
+  void CountSegmentsPruned(const ScanTarget& target,
+                           const std::vector<SegmentBounds>& bounds,
+                           Timestamp lo, Timestamp hi,
+                           common::ScanCounters* counters);
 
   /// Aggregate pushdown: COUNT(*) plus per-tag COUNT/SUM/MIN/MAX over the
   /// rows of [lo, hi] (all sources when `id` < 0) that pass every
@@ -233,6 +271,22 @@ class OdhReader {
 
  private:
   friend class OdhScanCursorImpl;
+
+  /// One source's blob listing plus its unflushed rows (into *dirty) as a
+  /// consistent cut: every row ingested before the call is in exactly one
+  /// of the two. A flush landing between listing and collection is caught
+  /// up on from the store's put log; only when that log cannot serve it
+  /// (compaction or a very long gap) does the listing repeat.
+  Result<OdhStore::HistoricalListing> ListConsistent(
+      int schema_type, SourceId id, const RouteDecision& route, Timestamp lo,
+      Timestamp hi, SegmentScanStats* seg_stats,
+      std::vector<OperationalRecord>* dirty);
+
+  /// Shared body of the Open* entry points (`id` < 0: slice).
+  Result<std::unique_ptr<OdhScanCursorImpl>> OpenScan(
+      int schema_type, SourceId id, Timestamp lo, Timestamp hi,
+      const std::vector<int>& wanted_tags, std::vector<TagFilter> tag_filters,
+      common::ScanCounters* counters, const ScanTarget* window);
 
   ConfigComponent* config_;
   OdhStore* store_;

@@ -5,15 +5,20 @@
 
 namespace odh::core {
 
-Status ReplicaApplier::ApplySnapshotRecords(
-    const std::vector<std::string>& payloads) {
-  for (const std::string& payload : payloads) {
-    ODH_RETURN_IF_ERROR(ApplyRecord(payload));
+void ReplicaApplier::BeginSnapshot() { snapshot_records_.clear(); }
+
+void ReplicaApplier::AddSnapshotRecords(std::vector<std::string> payloads) {
+  for (std::string& payload : payloads) {
+    snapshot_records_.push_back(std::move(payload));
   }
-  return Status::OK();
 }
 
 Status ReplicaApplier::FinishSnapshot(uint64_t base_lsn) {
+  std::vector<std::string> records = std::move(snapshot_records_);
+  snapshot_records_.clear();
+  for (const std::string& payload : records) {
+    ODH_RETURN_IF_ERROR(ApplyRecord(payload));
+  }
   if (in_episode_) {
     return Status::Corruption("snapshot ended inside a compaction episode");
   }

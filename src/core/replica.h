@@ -41,10 +41,20 @@ class ReplicaApplier {
   ReplicaApplier(const ReplicaApplier&) = delete;
   ReplicaApplier& operator=(const ReplicaApplier&) = delete;
 
-  /// Applies one bootstrap-snapshot chunk (encoded WalRecord payloads).
-  Status ApplySnapshotRecords(const std::vector<std::string>& payloads);
+  /// Starts a bootstrap snapshot, discarding the records of any earlier
+  /// one that a dropped link cut off before its end.
+  void BeginSnapshot();
 
-  /// Ends the bootstrap: the store now mirrors the primary at `base_lsn`.
+  /// Holds one bootstrap-snapshot chunk (encoded WalRecord payloads)
+  /// until FinishSnapshot. A bootstrap is all-or-nothing: a snapshot cut
+  /// off mid-stream leaves the applied LSN at 0, so the reconnect
+  /// bootstraps again from a fresh snapshot, which must not land on top
+  /// of a partly applied one. The cost is the snapshot's encoded size in
+  /// memory until its end frame arrives.
+  void AddSnapshotRecords(std::vector<std::string> payloads);
+
+  /// Ends the bootstrap: applies the held records, after which the store
+  /// mirrors the primary at `base_lsn`.
   Status FinishSnapshot(uint64_t base_lsn);
 
   /// Applies one WAL batch covering primary byte range [start_lsn,
@@ -123,6 +133,8 @@ class ReplicaApplier {
 
   // Applier-thread-only state.
   std::set<int> touched_types_;
+  /// Records of the bootstrap snapshot in flight.
+  std::vector<std::string> snapshot_records_;
   /// In-flight compaction episode (may span several batches).
   bool in_episode_ = false;
   int episode_schema_ = 0;

@@ -1,6 +1,7 @@
 #include "core/store.h"
 
 #include <algorithm>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <tuple>
@@ -182,7 +183,7 @@ Status OdhStore::LogPut(WalRecord::Kind kind, int schema_type,
 Status OdhStore::PutRts(int schema_type, SourceId id, Timestamp begin,
                         Timestamp end, Timestamp interval, int64_t n,
                         const std::string& blob,
-                        const std::string& zone_map) {
+                        const std::string& zone_map, uint64_t* put_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   // Log before the heap/index write: once Sync() flushes the log, the blob
@@ -195,15 +196,17 @@ Status OdhStore::PutRts(int schema_type, SourceId id, Timestamp begin,
              Datum::Time(end),       Datum::Int64(interval),
              Datum::Int64(n),        Datum::String(blob),
              Datum::String(zone_map)};
-  ODH_RETURN_IF_ERROR(seg->rts->Insert(row).status());
+  ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->rts->Insert(row));
   UpdateStats(&seg->rts_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
+  LogRecentPut(schema_type, WalRecord::Kind::kRts, id, begin,
+               seg->manifest.key, seg->manifest.generation, rid, put_seq);
   return Status::OK();
 }
 
 Status OdhStore::PutIrts(int schema_type, SourceId id, Timestamp begin,
                          Timestamp end, int64_t n, const std::string& blob,
-                         const std::string& zone_map) {
+                         const std::string& zone_map, uint64_t* put_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kIrts, schema_type, id, begin,
@@ -213,15 +216,17 @@ Status OdhStore::PutIrts(int schema_type, SourceId id, Timestamp begin,
   Row row = {Datum::Int64(id), Datum::Time(begin), Datum::Time(end),
              Datum::Int64(0),  Datum::Int64(n),    Datum::String(blob),
              Datum::String(zone_map)};
-  ODH_RETURN_IF_ERROR(seg->irts->Insert(row).status());
+  ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->irts->Insert(row));
   UpdateStats(&seg->irts_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
+  LogRecentPut(schema_type, WalRecord::Kind::kIrts, id, begin,
+               seg->manifest.key, seg->manifest.generation, rid, put_seq);
   return Status::OK();
 }
 
 Status OdhStore::PutMg(int schema_type, int64_t group, Timestamp begin,
                        Timestamp end, int64_t n, const std::string& blob,
-                       const std::string& zone_map) {
+                       const std::string& zone_map, uint64_t* put_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kMg, schema_type, group,
@@ -231,10 +236,24 @@ Status OdhStore::PutMg(int schema_type, int64_t group, Timestamp begin,
   Row row = {Datum::Time(begin), Datum::Int64(group), Datum::Time(end),
              Datum::Int64(n), Datum::String(blob),
              Datum::String(zone_map)};
-  ODH_RETURN_IF_ERROR(seg->mg->Insert(row).status());
+  ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->mg->Insert(row));
   UpdateStats(&seg->mg_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
+  LogRecentPut(schema_type, WalRecord::Kind::kMg, group, begin,
+               seg->manifest.key, seg->mg_epoch, rid, put_seq);
   return Status::OK();
+}
+
+void OdhStore::LogRecentPut(int schema_type, WalRecord::Kind kind,
+                            int64_t id_or_group, Timestamp begin,
+                            int64_t seg_key,
+                            int64_t generation, const relational::Rid& rid,
+                            uint64_t* put_seq) {
+  ++puts_;
+  if (put_seq != nullptr) *put_seq = puts_;
+  if (put_log_.size() >= kPutLogCapacity) put_log_.pop_front();
+  put_log_.push_back({puts_, schema_type, kind, id_or_group, begin, seg_key,
+                      generation, rid});
 }
 
 namespace {
@@ -280,24 +299,31 @@ Status ScanSeries(relational::Table* table, const ContainerStats& stats,
 
 }  // namespace
 
-Result<std::vector<BlobRecord>> OdhStore::GetRts(int schema_type,
-                                                 SourceId id, Timestamp lo,
-                                                 Timestamp hi,
-                                                 SegmentScanStats* stats) {
-  std::lock_guard<std::mutex> lock(mu_);
+Result<std::vector<BlobRecord>> OdhStore::GetSeriesLocked(
+    int schema_type, bool irts, SourceId id, Timestamp lo, Timestamp hi,
+    SegmentScanStats* stats) {
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   std::vector<BlobRecord> out;
   for (auto& [key, seg] : container->segments) {
-    if (SegmentDisjoint(seg.rts_stats, lo, hi)) {
-      if (seg.rts_stats.blob_count > 0) CountSegmentPruned(stats);
+    const ContainerStats& sstats = irts ? seg.irts_stats : seg.rts_stats;
+    if (SegmentDisjoint(sstats, lo, hi)) {
+      if (sstats.blob_count > 0) CountSegmentPruned(stats);
       continue;
     }
-    ODH_RETURN_IF_ERROR(ScanSeries(seg.rts, seg.rts_stats, key,
+    ODH_RETURN_IF_ERROR(ScanSeries(irts ? seg.irts : seg.rts, sstats, key,
                                    seg.manifest.generation, id, lo, hi,
                                    &blobs_examined_, &blobs_discarded_,
                                    &out));
   }
   return out;
+}
+
+Result<std::vector<BlobRecord>> OdhStore::GetRts(int schema_type,
+                                                 SourceId id, Timestamp lo,
+                                                 Timestamp hi,
+                                                 SegmentScanStats* stats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GetSeriesLocked(schema_type, /*irts=*/false, id, lo, hi, stats);
 }
 
 Result<std::vector<BlobRecord>> OdhStore::GetIrts(int schema_type,
@@ -305,26 +331,14 @@ Result<std::vector<BlobRecord>> OdhStore::GetIrts(int schema_type,
                                                   Timestamp hi,
                                                   SegmentScanStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
-  std::vector<BlobRecord> out;
-  for (auto& [key, seg] : container->segments) {
-    if (SegmentDisjoint(seg.irts_stats, lo, hi)) {
-      if (seg.irts_stats.blob_count > 0) CountSegmentPruned(stats);
-      continue;
-    }
-    ODH_RETURN_IF_ERROR(ScanSeries(seg.irts, seg.irts_stats, key,
-                                   seg.manifest.generation, id, lo, hi,
-                                   &blobs_examined_, &blobs_discarded_,
-                                   &out));
-  }
-  return out;
+  return GetSeriesLocked(schema_type, /*irts=*/true, id, lo, hi, stats);
 }
 
-Result<std::vector<BlobRecord>> OdhStore::GetMg(int schema_type,
-                                                int64_t group, Timestamp lo,
-                                                Timestamp hi,
-                                                SegmentScanStats* stats) {
-  std::lock_guard<std::mutex> lock(mu_);
+Result<std::vector<BlobRecord>> OdhStore::GetMgLocked(int schema_type,
+                                                      int64_t group,
+                                                      Timestamp lo,
+                                                      Timestamp hi,
+                                                      SegmentScanStats* stats) {
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   std::vector<BlobRecord> out;
   for (auto& [key, seg] : container->segments) {
@@ -361,6 +375,94 @@ Result<std::vector<BlobRecord>> OdhStore::GetMg(int schema_type,
     }
   }
   return out;
+}
+
+Result<std::vector<BlobRecord>> OdhStore::GetMg(int schema_type,
+                                                int64_t group, Timestamp lo,
+                                                Timestamp hi,
+                                                SegmentScanStats* stats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return GetMgLocked(schema_type, group, lo, hi, stats);
+}
+
+Result<OdhStore::HistoricalListing> OdhStore::ListHistorical(
+    int schema_type, SourceId id, bool rts, bool irts, bool mg,
+    int64_t mg_group, Timestamp lo, Timestamp hi, SegmentScanStats* stats) {
+  std::lock_guard<std::mutex> lock(mu_);
+  HistoricalListing listing;
+  if (rts) {
+    ODH_ASSIGN_OR_RETURN(listing.rts,
+                         GetSeriesLocked(schema_type, false, id, lo, hi,
+                                         stats));
+  }
+  if (irts) {
+    ODH_ASSIGN_OR_RETURN(listing.irts,
+                         GetSeriesLocked(schema_type, true, id, lo, hi,
+                                         stats));
+  }
+  if (mg) {
+    ODH_ASSIGN_OR_RETURN(listing.mg,
+                         GetMgLocked(schema_type, mg_group, lo, hi, stats));
+  }
+  listing.put_seq = puts_;
+  return listing;
+}
+
+Result<bool> OdhStore::CatchUpHistorical(int schema_type, SourceId id,
+                                         bool rts, bool irts, bool mg,
+                                         int64_t mg_group, Timestamp lo,
+                                         Timestamp hi, uint64_t through,
+                                         HistoricalListing* listing) {
+  const uint64_t after = listing->put_seq;
+  if (through <= after) return true;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (put_log_.empty() || put_log_.front().seq > after + 1) return false;
+  ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
+  // The log is in seq order: walk back from the newest put to `after`.
+  auto first = put_log_.end();
+  while (first != put_log_.begin() && std::prev(first)->seq > after) --first;
+  HistoricalListing delta;
+  for (auto e_it = first; e_it != put_log_.end(); ++e_it) {
+    const PutLogEntry& e = *e_it;
+    if (e.seq > through) break;
+    if (e.schema_type != schema_type) continue;
+    const bool is_mg = e.kind == WalRecord::Kind::kMg;
+    if (is_mg ? !(mg && e.id_or_group == mg_group)
+              : !(e.id_or_group == id &&
+                  (e.kind == WalRecord::Kind::kRts ? rts : irts))) {
+      continue;
+    }
+    auto it = container->segments.find(e.seg);
+    if (it == container->segments.end()) return false;
+    Segment& seg = it->second;
+    if (e.generation != (is_mg ? seg.mg_epoch : seg.manifest.generation)) {
+      return false;
+    }
+    relational::Table* table =
+        is_mg ? seg.mg
+              : (e.kind == WalRecord::Kind::kRts ? seg.rts : seg.irts);
+    auto row = table->Get(e.rid);
+    if (!row.ok()) return false;  // Deleted (MG reorganized) since.
+    BlobRecord rec;
+    ODH_RETURN_IF_ERROR(RowToBlobRecord(*row, e.rid, is_mg, &rec));
+    if (rec.begin != e.begin || (is_mg ? rec.group : rec.id) != e.id_or_group) {
+      return false;  // The slot was reused after a delete.
+    }
+    if (rec.end < lo || rec.begin > hi) continue;
+    rec.seg = e.seg;
+    rec.generation = e.generation;
+    (is_mg ? delta.mg
+           : e.kind == WalRecord::Kind::kRts ? delta.rts : delta.irts)
+        .push_back(std::move(rec));
+  }
+  auto append = [](std::vector<BlobRecord>* from, std::vector<BlobRecord>* to) {
+    for (BlobRecord& rec : *from) to->push_back(std::move(rec));
+  };
+  append(&delta.rts, &listing->rts);
+  append(&delta.irts, &listing->irts);
+  append(&delta.mg, &listing->mg);
+  listing->put_seq = through;
+  return true;
 }
 
 Status OdhStore::DeleteMg(int schema_type, int64_t seg_key,
@@ -601,6 +703,19 @@ std::vector<SegmentInfo> OdhStore::SegmentInfos(int schema_type) const {
       if (s->max_ts > info.max_ts) info.max_ts = s->max_ts;
     }
     out.push_back(info);
+  }
+  return out;
+}
+
+std::vector<SegmentBounds> OdhStore::SegmentBoundsOf(int schema_type) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<SegmentBounds> out;
+  auto it = containers_.find(schema_type);
+  if (it == containers_.end()) return out;
+  out.reserve(it->second.segments.size());
+  for (const auto& [key, seg] : it->second.segments) {
+    out.push_back({key, seg.manifest.lo, seg.rts_stats, seg.irts_stats,
+                   seg.mg_stats});
   }
   return out;
 }

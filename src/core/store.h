@@ -2,6 +2,7 @@
 #define ODH_CORE_STORE_H_
 
 #include <atomic>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -114,6 +115,17 @@ struct SegmentInfo {
   Timestamp max_ts = kMinTimestamp;
 };
 
+/// Manifest start of one segment plus each structure's data bounds: what a
+/// windowed top-k scan needs to split a time range at segment boundaries
+/// and to count the segments it never opened.
+struct SegmentBounds {
+  int64_t key = 0;
+  Timestamp lo = 0;  // Nominal start; kMinTimestamp in the flat layout.
+  ContainerStats rts;
+  ContainerStats irts;
+  ContainerStats mg;
+};
+
 /// Snapshot of one segment's series blobs, taken under the store mutex for
 /// the compactor to rewrite outside it. `version` is the manifest version
 /// at snapshot time; SwapCompactedSegment refuses the swap when the
@@ -173,15 +185,22 @@ class OdhStore {
   /// segments materialize lazily at the first Put that routes to them.
   Status CreateContainers(int schema_type);
 
+  /// `put_seq` (optional) receives the put sequence number of this blob:
+  /// puts are numbered 1, 2, 3 ... under the store mutex, so a listing
+  /// that reports sequence P (ListHistorical) holds every blob numbered
+  /// up to P.
   Status PutRts(int schema_type, SourceId id, Timestamp begin, Timestamp end,
                 Timestamp interval, int64_t n, const std::string& blob,
-                const std::string& zone_map = {});
+                const std::string& zone_map = {},
+                uint64_t* put_seq = nullptr);
   Status PutIrts(int schema_type, SourceId id, Timestamp begin,
                  Timestamp end, int64_t n, const std::string& blob,
-                 const std::string& zone_map = {});
+                 const std::string& zone_map = {},
+                 uint64_t* put_seq = nullptr);
   Status PutMg(int schema_type, int64_t group, Timestamp begin,
                Timestamp end, int64_t n, const std::string& blob,
-               const std::string& zone_map = {});
+               const std::string& zone_map = {},
+               uint64_t* put_seq = nullptr);
 
   /// Blobs of `id` overlapping [lo, hi], in begin_ts order. Segments whose
   /// data bounds are disjoint from [lo, hi] are skipped without touching
@@ -197,6 +216,37 @@ class OdhStore {
   Result<std::vector<BlobRecord>> GetMg(int schema_type, int64_t group,
                                         Timestamp lo, Timestamp hi,
                                         SegmentScanStats* stats = nullptr);
+
+  /// One source's blobs for a historical scan, listed under a single hold
+  /// of the store mutex: RTS and IRTS blobs of `id` and MG blobs of
+  /// `mg_group`, each list as Get* returns it, for the structures flagged.
+  /// `put_seq` is the put sequence as of the listing: the listing holds
+  /// exactly the blobs numbered up to it, which tells a reader whether a
+  /// writer flush fell between this listing and its dirty-buffer
+  /// collection (OdhWriter::CollectDirty), so it can catch up on it.
+  struct HistoricalListing {
+    std::vector<BlobRecord> rts;
+    std::vector<BlobRecord> irts;
+    std::vector<BlobRecord> mg;
+    uint64_t put_seq = 0;
+  };
+  Result<HistoricalListing> ListHistorical(int schema_type, SourceId id,
+                                           bool rts, bool irts, bool mg,
+                                           int64_t mg_group, Timestamp lo,
+                                           Timestamp hi,
+                                           SegmentScanStats* stats = nullptr);
+
+  /// The catch-up half of that check: appends to *listing the blobs of the
+  /// same source and structures, overlapping [lo, hi], whose put sequence
+  /// lies in (listing->put_seq, through], and advances listing->put_seq to
+  /// `through`. Served from a bounded log of recent puts, so it reads only
+  /// those blobs; false (listing untouched) when the log no longer reaches
+  /// back far enough or a logged blob has since been rewritten or dropped
+  /// — the caller then relists.
+  Result<bool> CatchUpHistorical(int schema_type, SourceId id, bool rts,
+                                 bool irts, bool mg, int64_t mg_group,
+                                 Timestamp lo, Timestamp hi, uint64_t through,
+                                 HistoricalListing* listing);
 
   /// Removes an MG blob (used by the reorganizer after conversion). `seg`
   /// is the BlobRecord::seg the blob was fetched with — rids are only
@@ -259,6 +309,10 @@ class OdhStore {
 
   /// Per-segment manifest + stats listing, key order (odh_storage rows).
   std::vector<SegmentInfo> SegmentInfos(int schema_type) const;
+
+  /// Nominal start and per-structure data bounds of every segment, key
+  /// order (metadata only, no page reads; empty for an unknown type).
+  std::vector<SegmentBounds> SegmentBoundsOf(int schema_type) const;
 
   // --- Retention -------------------------------------------------------
 
@@ -458,6 +512,16 @@ class OdhStore {
   Result<Segment*> GetSegmentForWrite(int schema_type, Container* container,
                                       Timestamp begin);
 
+  /// Listing bodies of GetRts/GetIrts/GetMg and ListHistorical; require
+  /// mu_.
+  Result<std::vector<BlobRecord>> GetSeriesLocked(int schema_type, bool irts,
+                                                  SourceId id, Timestamp lo,
+                                                  Timestamp hi,
+                                                  SegmentScanStats* stats);
+  Result<std::vector<BlobRecord>> GetMgLocked(int schema_type, int64_t group,
+                                              Timestamp lo, Timestamp hi,
+                                              SegmentScanStats* stats);
+
   /// Creates a segment's three tables (+ pk indexes) and manifest.
   Result<Segment> CreateSegment(int schema_type, int64_t key,
                                 int generation);
@@ -486,6 +550,26 @@ class OdhStore {
                 int64_t n, const Slice& blob, const Slice& zone_map);
 
   int mg_version_ = 0;  // Suffix for rebuilt MG container tables.
+  uint64_t puts_ = 0;    // Put sequence; guarded by mu_.
+
+  /// Where put number `seq` landed (CatchUpHistorical's log).
+  struct PutLogEntry {
+    uint64_t seq = 0;
+    int schema_type = 0;
+    WalRecord::Kind kind = WalRecord::Kind::kRts;
+    int64_t id_or_group = 0;
+    Timestamp begin = 0;  // With id_or_group, re-identifies the row.
+    int64_t seg = 0;
+    int64_t generation = 0;  // Manifest generation; MG epoch for MG.
+    relational::Rid rid;
+  };
+  static constexpr size_t kPutLogCapacity = 1024;
+  /// Records a successful put; requires mu_.
+  void LogRecentPut(int schema_type, WalRecord::Kind kind,
+                    int64_t id_or_group, Timestamp begin, int64_t seg_key,
+                    int64_t generation, const relational::Rid& rid,
+                    uint64_t* put_seq);
+  std::deque<PutLogEntry> put_log_;  // Guarded by mu_; seq order.
 
   static void UpdateStats(ContainerStats* stats, Timestamp begin,
                           Timestamp end, int64_t n, size_t blob_bytes);

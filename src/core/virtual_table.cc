@@ -1,6 +1,8 @@
 #include "core/virtual_table.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <set>
 
 #include "common/logging.h"
@@ -47,6 +49,100 @@ class VirtualTableCursor : public sql::RowCursor {
   int num_tags_;
 };
 
+/// The window loop of a top-k time scan: serves an order-limit hint on
+/// the timestamp column. [lo, hi] is split at segment starts into disjoint
+/// time windows, one per segment, the newest ending at `hi` (so it covers
+/// dirty rows and blobs straddling into it) and the oldest starting at
+/// `lo`; the flat layout is one window. Windows are visited newest-first
+/// for DESC, oldest-first for ASC, in groups of 1, 2, 4 ... so that a
+/// large k keeps segment-parallel fan-out; each group is one ordinary
+/// forward reader scan. The loop stops at the first group boundary where
+/// at least k rows have passed the constraints. Every row of an unvisited
+/// window has a timestamp strictly beyond every visited row's, so it can
+/// neither enter nor tie the top k; rows of equal timestamp share a window
+/// and keep their forward-scan order, which is all the stable sort above
+/// needs.
+class TimeWindows {
+ public:
+  TimeWindows(OdhReader* reader, ScanTarget target, Timestamp lo,
+              Timestamp hi, const sql::OrderLimitHint& hint,
+              common::ScanCounters* counters)
+      : reader_(reader),
+        target_(std::move(target)),
+        bounds_(reader->SegmentBoundsOf(target_.schema_type)),
+        hi_(hi),
+        descending_(hint.descending),
+        limit_(hint.limit),
+        counters_(counters) {
+    // Window starts: every segment start inside (lo, hi] except the
+    // oldest segment's (nothing lies below it). Key order = time order.
+    starts_.push_back(lo);
+    for (size_t i = 1; i < bounds_.size(); ++i) {
+      if (bounds_[i].lo > lo && bounds_[i].lo <= hi) {
+        starts_.push_back(bounds_[i].lo);
+      }
+    }
+    next_ = descending_ ? static_cast<int64_t>(starts_.size()) - 1 : 0;
+  }
+
+  const ScanTarget& target() const { return target_; }
+
+  /// The next group's time range, given the rows that have passed so far;
+  /// false once the loop is over (then the pruning is reported, once).
+  bool Next(int64_t passed, Timestamp* lo, Timestamp* hi) {
+    if (done_) return false;
+    if (passed >= limit_ || next_ < 0 ||
+        next_ >= static_cast<int64_t>(starts_.size())) {
+      Finish();
+      return false;
+    }
+    int64_t first, last;
+    if (descending_) {
+      last = next_;
+      first = std::max<int64_t>(0, next_ - width_ + 1);
+      next_ = first - 1;
+    } else {
+      first = next_;
+      last = std::min<int64_t>(static_cast<int64_t>(starts_.size()) - 1,
+                               next_ + width_ - 1);
+      next_ = last + 1;
+    }
+    width_ *= 2;
+    *lo = starts_[first];
+    *hi = last + 1 < static_cast<int64_t>(starts_.size())
+              ? starts_[last + 1] - 1
+              : hi_;
+    visited_lo_ = std::min(visited_lo_, *lo);
+    visited_hi_ = std::max(visited_hi_, *hi);
+    return true;
+  }
+
+ private:
+  /// Reports the segments an ordinary scan over the visited range would
+  /// have skipped; that includes every segment no window opened. With
+  /// nothing visited (LIMIT 0) the range is empty and every non-empty
+  /// segment counts.
+  void Finish() {
+    done_ = true;
+    reader_->CountSegmentsPruned(target_, bounds_, visited_lo_, visited_hi_,
+                                 counters_);
+  }
+
+  OdhReader* reader_;
+  ScanTarget target_;
+  std::vector<SegmentBounds> bounds_;
+  Timestamp hi_;
+  bool descending_;
+  int64_t limit_;
+  common::ScanCounters* counters_;
+  std::vector<Timestamp> starts_;  // Window i starts at starts_[i].
+  int64_t next_ = 0;   // Next window index to visit.
+  int64_t width_ = 1;  // Windows in the next group.
+  Timestamp visited_lo_ = kMaxTimestamp;  // Empty until a group opens.
+  Timestamp visited_hi_ = kMinTimestamp;
+  bool done_ = false;
+};
+
 /// Wraps a RecordBatchCursor: moves each decoded blob's columns straight
 /// into a ColumnBatch (no per-value boxing — the point of the batch path)
 /// and runs the pushed tag predicates as vectorized range kernels.
@@ -84,15 +180,90 @@ class VirtualTableBatchCursor : public sql::BatchCursor {
 /// A SQL predicate may name a source id the historian has never seen;
 /// that matches no rows rather than being an error, so unknown-id routes
 /// degrade to empty cursors on every scan path.
-class EmptyRowCursor : public sql::RowCursor {
+template <typename Cursor, typename Item>
+class EmptyCursor : public Cursor {
  public:
-  Result<bool> Next(Row*) override { return false; }
+  Result<bool> Next(Item*) override { return false; }
 };
 
-class EmptyBatchCursor : public sql::BatchCursor {
+/// Opens an ordinary scan of one time range, as a row or batch cursor;
+/// `window` is null for a plain scan (see OdhReader::OpenHistorical).
+template <typename Cursor>
+using OpenRangeFn = std::function<Result<std::unique_ptr<Cursor>>(
+    Timestamp lo, Timestamp hi, const ScanTarget* window)>;
+
+/// A top-k time scan over either cursor flavor: one ordinary scan per
+/// group of TimeWindows, `passed_rows` counting the rows of each emitted
+/// item that passed the constraints (a row; a batch's selected rows).
+template <typename Cursor, typename Item>
+class WindowedCursor : public Cursor {
  public:
-  Result<bool> Next(sql::ColumnBatch*) override { return false; }
+  WindowedCursor(TimeWindows windows, OpenRangeFn<Cursor> open,
+                 int64_t (*passed_rows)(const Item&))
+      : windows_(std::move(windows)),
+        open_(std::move(open)),
+        passed_rows_(passed_rows) {}
+
+  Result<bool> Next(Item* item) override {
+    if (!poison_.ok()) return poison_;
+    while (true) {
+      if (window_ != nullptr) {
+        Result<bool> more = window_->Next(item);
+        if (!more.ok()) return poison_ = more.status();
+        if (*more) {
+          passed_ += passed_rows_(*item);
+          return true;
+        }
+        window_.reset();
+      }
+      Timestamp lo, hi;
+      if (!windows_.Next(passed_, &lo, &hi)) return false;
+      auto opened = open_(lo, hi, &windows_.target());
+      if (!opened.ok()) return poison_ = opened.status();
+      window_ = std::move(*opened);
+    }
+  }
+
+ private:
+  TimeWindows windows_;
+  OpenRangeFn<Cursor> open_;
+  int64_t (*passed_rows_)(const Item&);
+  std::unique_ptr<Cursor> window_;
+  int64_t passed_ = 0;
+  Status poison_;
 };
+
+/// Opens [lo, hi] of `id` (< 0: slice) through `open`: as one scan, or —
+/// when `spec` carries an order-limit hint on the timestamp column — as a
+/// top-k time scan. An unknown id yields an empty cursor.
+template <typename Cursor, typename Item>
+Result<std::unique_ptr<Cursor>> OpenTimeRange(
+    OdhReader* reader, int schema_type, SourceId id, Timestamp lo,
+    Timestamp hi, const sql::ScanSpec& spec, OpenRangeFn<Cursor> open,
+    int64_t (*passed_rows)(const Item&)) {
+  auto unknown_id = [id](const Status& status) {
+    return id >= 0 && status.IsNotFound();
+  };
+  if (!spec.order_limit.has_value() ||
+      spec.order_limit->column != OdhVirtualTable::kTimestampColumn) {
+    Result<std::unique_ptr<Cursor>> opened = open(lo, hi, nullptr);
+    if (!opened.ok() && unknown_id(opened.status())) {
+      return std::unique_ptr<Cursor>(
+          std::make_unique<EmptyCursor<Cursor, Item>>());
+    }
+    return opened;
+  }
+  Result<ScanTarget> target = reader->ResolveScan(schema_type, id);
+  if (!target.ok() && unknown_id(target.status())) {
+    return std::unique_ptr<Cursor>(
+        std::make_unique<EmptyCursor<Cursor, Item>>());
+  }
+  ODH_RETURN_IF_ERROR(target.status());
+  return std::unique_ptr<Cursor>(std::make_unique<WindowedCursor<Cursor, Item>>(
+      TimeWindows(reader, std::move(*target), lo, hi, *spec.order_limit,
+                  spec.counters),
+      std::move(open), passed_rows));
+}
 
 }  // namespace
 
@@ -210,26 +381,29 @@ OdhVirtualTable::Pushdown OdhVirtualTable::ExtractPushdown(
 
 Result<std::unique_ptr<sql::RowCursor>> OdhVirtualTable::Scan(
     const sql::ScanSpec& spec) {
-  Pushdown push = ExtractPushdown(spec);
-  std::unique_ptr<RecordCursor> cursor;
-  if (push.id >= 0) {
-    auto opened = reader_->OpenHistorical(schema_type_, push.id, push.lo,
-                                          push.hi, push.wanted_tags,
-                                          push.tag_filters, spec.counters);
-    if (!opened.ok() && opened.status().IsNotFound()) {
-      return std::unique_ptr<sql::RowCursor>(
-          std::make_unique<EmptyRowCursor>());
+  const Pushdown push = ExtractPushdown(spec);
+  OpenRangeFn<sql::RowCursor> open =
+      [reader = reader_, schema_type = schema_type_, num_tags = num_tags_,
+       push, spec](Timestamp lo, Timestamp hi, const ScanTarget* window)
+      -> Result<std::unique_ptr<sql::RowCursor>> {
+    std::unique_ptr<RecordCursor> cursor;
+    if (push.id >= 0) {
+      ODH_ASSIGN_OR_RETURN(
+          cursor, reader->OpenHistorical(schema_type, push.id, lo, hi,
+                                         push.wanted_tags, push.tag_filters,
+                                         spec.counters, window));
+    } else {
+      ODH_ASSIGN_OR_RETURN(
+          cursor, reader->OpenSlice(schema_type, lo, hi, push.wanted_tags,
+                                    push.tag_filters, spec.counters, window));
     }
-    ODH_RETURN_IF_ERROR(opened.status());
-    cursor = std::move(*opened);
-  } else {
-    ODH_ASSIGN_OR_RETURN(
-        cursor, reader_->OpenSlice(schema_type_, push.lo, push.hi,
-                                   push.wanted_tags, push.tag_filters,
-                                   spec.counters));
-  }
-  return std::unique_ptr<sql::RowCursor>(std::make_unique<VirtualTableCursor>(
-      std::move(cursor), spec, num_tags_));
+    return std::unique_ptr<sql::RowCursor>(
+        std::make_unique<VirtualTableCursor>(std::move(cursor), spec,
+                                             num_tags));
+  };
+  return OpenTimeRange<sql::RowCursor, Row>(
+      reader_, schema_type_, push.id, push.lo, push.hi, spec, std::move(open),
+      [](const Row&) -> int64_t { return 1; });
 }
 
 bool OdhVirtualTable::SupportsBatchScan(const sql::ScanSpec& spec) const {
@@ -239,33 +413,37 @@ bool OdhVirtualTable::SupportsBatchScan(const sql::ScanSpec& spec) const {
 
 Result<std::unique_ptr<sql::BatchCursor>> OdhVirtualTable::ScanBatches(
     const sql::ScanSpec& spec) {
-  Pushdown push = ExtractPushdown(spec);
+  const Pushdown push = ExtractPushdown(spec);
   if (!config_->options().enable_vectorized_scan || !push.absorbed) {
     return Status::Unimplemented(
         "scan spec not fully absorbed; use the row path");
   }
-  std::unique_ptr<RecordBatchCursor> cursor;
-  if (push.id >= 0) {
-    auto opened = reader_->OpenHistoricalBatches(schema_type_, push.id,
-                                                 push.lo, push.hi,
-                                                 push.wanted_tags,
-                                                 push.tag_filters,
-                                                 spec.counters);
-    if (!opened.ok() && opened.status().IsNotFound()) {
-      return std::unique_ptr<sql::BatchCursor>(
-          std::make_unique<EmptyBatchCursor>());
+  OpenRangeFn<sql::BatchCursor> open =
+      [reader = reader_, schema_type = schema_type_, num_tags = num_tags_,
+       push, counters = spec.counters](Timestamp lo, Timestamp hi,
+                                       const ScanTarget* window)
+      -> Result<std::unique_ptr<sql::BatchCursor>> {
+    std::unique_ptr<RecordBatchCursor> cursor;
+    if (push.id >= 0) {
+      ODH_ASSIGN_OR_RETURN(
+          cursor, reader->OpenHistoricalBatches(
+                      schema_type, push.id, lo, hi, push.wanted_tags,
+                      push.tag_filters, counters, window));
+    } else {
+      ODH_ASSIGN_OR_RETURN(
+          cursor, reader->OpenSliceBatches(schema_type, lo, hi,
+                                           push.wanted_tags, push.tag_filters,
+                                           counters, window));
     }
-    ODH_RETURN_IF_ERROR(opened.status());
-    cursor = std::move(*opened);
-  } else {
-    ODH_ASSIGN_OR_RETURN(
-        cursor, reader_->OpenSliceBatches(schema_type_, push.lo, push.hi,
-                                          push.wanted_tags,
-                                          push.tag_filters, spec.counters));
-  }
-  return std::unique_ptr<sql::BatchCursor>(
-      std::make_unique<VirtualTableBatchCursor>(
-          std::move(cursor), std::move(push.tag_filters), num_tags_));
+    return std::unique_ptr<sql::BatchCursor>(
+        std::make_unique<VirtualTableBatchCursor>(std::move(cursor),
+                                                  push.tag_filters, num_tags));
+  };
+  return OpenTimeRange<sql::BatchCursor, sql::ColumnBatch>(
+      reader_, schema_type_, push.id, push.lo, push.hi, spec, std::move(open),
+      [](const sql::ColumnBatch& batch) {
+        return static_cast<int64_t>(batch.selected());
+      });
 }
 
 Result<std::optional<Row>> OdhVirtualTable::AggregateScan(

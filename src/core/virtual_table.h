@@ -59,6 +59,11 @@ class OdhVirtualTable : public sql::TableProvider {
     return column == kIdColumn || column == kTimestampColumn;
   }
 
+  /// Top-k time scans: ORDER BY ts [ASC|DESC] LIMIT k.
+  bool HonoursOrderLimit(int column) const override {
+    return column == kTimestampColumn;
+  }
+
   static constexpr int kIdColumn = 0;
   static constexpr int kTimestampColumn = 1;
 

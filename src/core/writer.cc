@@ -33,15 +33,23 @@ OdhWriter::OdhWriter(OdhStore* store, ConfigComponent* config)
   }
 }
 
-OdhWriter::Shard& OdhWriter::ShardForSource(SourceId id) {
-  return *shards_[MixToShard(static_cast<uint64_t>(id), shards_.size())];
+size_t OdhWriter::ShardIndexForSource(SourceId id) const {
+  return MixToShard(static_cast<uint64_t>(id), shards_.size());
 }
 
-OdhWriter::Shard& OdhWriter::ShardForGroup(int schema_type, int64_t group) {
+size_t OdhWriter::ShardIndexForGroup(int schema_type, int64_t group) const {
   uint64_t key = (static_cast<uint64_t>(static_cast<uint32_t>(schema_type))
                   << 32) ^
                  static_cast<uint64_t>(group);
-  return *shards_[MixToShard(key, shards_.size())];
+  return MixToShard(key, shards_.size());
+}
+
+OdhWriter::Shard& OdhWriter::ShardForSource(SourceId id) {
+  return *shards_[ShardIndexForSource(id)];
+}
+
+OdhWriter::Shard& OdhWriter::ShardForGroup(int schema_type, int64_t group) {
+  return *shards_[ShardIndexForGroup(schema_type, group)];
 }
 
 Result<const ValueBlobCodec*> OdhWriter::CodecFor(int schema_type) {
@@ -170,13 +178,13 @@ Status OdhWriter::FlushSource(Shard& shard, SourceId id,
     ODH_RETURN_IF_ERROR(store_->PutRts(info.schema_type, id, begin,
                                        batch.timestamps.back(), interval,
                                        static_cast<int64_t>(n), blob,
-                                       zone_map));
+                                       zone_map, &shard.last_put_seq));
     ++shard.stats.rts_blobs;
   } else {
     ODH_RETURN_IF_ERROR(codec->EncodeIrts(batch, &blob));
     ODH_RETURN_IF_ERROR(store_->PutIrts(info.schema_type, id, begin, end,
                                         static_cast<int64_t>(n), blob,
-                                        zone_map));
+                                        zone_map, &shard.last_put_seq));
     ++shard.stats.irts_blobs;
   }
   shard.stats.blob_bytes += static_cast<int64_t>(blob.size());
@@ -212,7 +220,7 @@ Status OdhWriter::FlushGroup(Shard& shard, int schema_type, int64_t group,
   }
   ODH_RETURN_IF_ERROR(store_->PutMg(schema_type, group, begin, end,
                                     static_cast<int64_t>(records.size()),
-                                    blob, zone_map));
+                                    blob, zone_map, &shard.last_put_seq));
   ++shard.stats.mg_blobs;
   shard.stats.blob_bytes += static_cast<int64_t>(blob.size());
   if (flush_hist_ != nullptr) flush_hist_->Observe(flush_timer.ElapsedMicros());
@@ -258,15 +266,30 @@ Status OdhWriter::FlushAll() {
 
 Status OdhWriter::CollectDirty(int schema_type, SourceId id, Timestamp lo,
                                Timestamp hi,
-                               std::vector<OperationalRecord>* out) const {
+                               std::vector<OperationalRecord>* out,
+                               uint64_t* flushed_through) const {
+  uint64_t put_seq = 0;
+  // Only the shard owning `id`'s buffer can hold its rows; a slice (or an
+  // unknown id) visits every shard.
+  size_t first = 0, last = shards_.size();
+  if (id >= 0) {
+    auto info = config_->GetSource(id);
+    if (info.ok()) {
+      first = IsHighFrequency((*info)->source_class)
+                  ? ShardIndexForSource(id)
+                  : ShardIndexForGroup((*info)->schema_type, (*info)->group);
+      last = first + 1;
+    }
+  }
   // Reproduce the single-shard ordering byte for byte: high-frequency
   // sources by ascending id, then group buffers by (schema_type, group).
   // Shard snapshots are merged through ordered maps to get there.
   std::map<SourceId, std::vector<OperationalRecord>> by_source;
   std::map<std::pair<int, int64_t>, std::vector<OperationalRecord>> by_group;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  for (size_t s = first; s < last; ++s) {
+    const Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
+    put_seq = std::max(put_seq, shard.last_put_seq);
     for (const auto& [source_id, buffer] : shard.source_buffers) {
       if (id >= 0 && source_id != id) continue;
       if (buffer.size() == 0) continue;
@@ -307,6 +330,7 @@ Status OdhWriter::CollectDirty(int schema_type, SourceId id, Timestamp lo,
       out->push_back(std::move(record));
     }
   }
+  if (flushed_through != nullptr) *flushed_through = put_seq;
   return Status::OK();
 }
 

@@ -68,9 +68,19 @@ class OdhWriter {
   /// The result is ordered exactly as the single-shard writer would order
   /// it: high-frequency sources by ascending id, then group buffers by
   /// (schema_type, group). Each shard is snapshotted under its own mutex.
+  ///
+  /// `flushed_through` (optional) makes this the second half of a
+  /// consistent cut: it receives, read under the same shard lock, the
+  /// store put sequence of the latest blob flushed from any buffer that
+  /// can hold matching rows (the owner of `id`'s buffer, or every shard
+  /// when `id` < 0). Every matching row ingested so far is then either in
+  /// *out or in a blob put at or before that sequence; a reader whose blob
+  /// listing stopped short of it catches up on the difference
+  /// (OdhStore::CatchUpHistorical) instead of waiting for the writer, and
+  /// the writer never waits on a reader either.
   Status CollectDirty(int schema_type, SourceId id, Timestamp lo,
-                      Timestamp hi,
-                      std::vector<OperationalRecord>* out) const;
+                      Timestamp hi, std::vector<OperationalRecord>* out,
+                      uint64_t* flushed_through = nullptr) const;
 
   /// Aggregated counters across all shards (a consistent-enough snapshot:
   /// each shard is summed under its own mutex).
@@ -103,10 +113,14 @@ class OdhWriter {
     std::map<std::pair<int, int64_t>, GroupBuffer> group_buffers;
     std::map<SourceId, Timestamp> last_ts;
     WriterStats stats;  // Guarded by mu; syncs/sync_retries stay zero.
+    /// Store put sequence of this shard's latest flushed blob.
+    uint64_t last_put_seq = 0;
   };
 
   Shard& ShardForSource(SourceId id);
   Shard& ShardForGroup(int schema_type, int64_t group);
+  size_t ShardIndexForSource(SourceId id) const;
+  size_t ShardIndexForGroup(int schema_type, int64_t group) const;
 
   Status FlushSource(Shard& shard, SourceId id, const DataSourceInfo& info,
                      SourceBuffer* buffer);

@@ -79,11 +79,14 @@ Status ReplicationSource::SendSnapshot(Transport* transport,
     }
   }
   ODH_RETURN_IF_ERROR(flush_chunk());
+  // Counted once the whole image is on the wire, before the end frame: a
+  // subscriber may apply the snapshot and report its LSN before this
+  // thread returns from sending the end frame.
+  snapshots_served_.fetch_add(1, std::memory_order_relaxed);
+  if (snapshots_metric_ != nullptr) snapshots_metric_->Add(1);
   ODH_RETURN_IF_ERROR(transport->SendFrame(
       FrameType::kReplSnapshotEnd, Slice(EncodeReplSnapshotEnd(snap.base_lsn)),
       Deadline::AfterMillisOrInfinite(options_.write_deadline_ms)));
-  snapshots_served_.fetch_add(1, std::memory_order_relaxed);
-  if (snapshots_metric_ != nullptr) snapshots_metric_->Add(1);
   *resume_lsn = snap.base_lsn;
   return Status::OK();
 }
@@ -277,6 +280,7 @@ Status ReplicationClient::RunOnce() {
           return Status::Corruption("unsolicited snapshot on a resume");
         }
         in_snapshot = true;
+        applier_->BeginSnapshot();
         break;
       }
       case FrameType::kReplSnapshotChunk: {
@@ -285,7 +289,7 @@ Status ReplicationClient::RunOnce() {
             !DecodeReplSnapshotChunk(Slice(frame.payload), &records)) {
           return Status::Corruption("bad snapshot chunk");
         }
-        ODH_RETURN_IF_ERROR(applier_->ApplySnapshotRecords(records));
+        applier_->AddSnapshotRecords(std::move(records));
         break;
       }
       case FrameType::kReplSnapshotEnd: {

@@ -351,6 +351,31 @@ Result<PhysicalPlan> PlanSelect(const BoundSelect& bound,
 
   std::string explain;
 
+  // 2b. Order-limit hint: a single-table, non-aggregate scan with nothing
+  // left over for a residual filter feeds the top-k sorter directly, so
+  // a provider that knows the leading sort column's physical layout may
+  // stop reading once the top k is settled (see OrderLimitHint).
+  if (num_tables == 1 && residual.empty() && !bound.has_aggregates &&
+      bound.group_by.empty() && !bound.order_by.empty() && bound.limit >= 0) {
+    const BoundSelect::BoundOrderBy& lead = bound.order_by[0];
+    const Expr* key = lead.output_ordinal >= 0
+                          ? bound.output[lead.output_ordinal].get()
+                          : lead.expr.get();
+    const ColumnRefExpr* ref = AsColumnRef(key);
+    if (ref != nullptr) {
+      specs[0].order_limit =
+          OrderLimitHint{ref->column_no, !lead.ascending, bound.limit};
+      const TableProvider* provider = bound.tables[0].provider;
+      if (provider->HonoursOrderLimit(ref->column_no)) {
+        explain += "order-limit pushdown: " +
+                   provider->schema().column(
+                       static_cast<size_t>(ref->column_no)).name +
+                   (lead.ascending ? " ASC" : " DESC") + " LIMIT " +
+                   std::to_string(bound.limit) + "\n";
+      }
+    }
+  }
+
   // 3. Join order: greedy smallest-estimate first, preferring connected
   // tables.
   std::vector<ScanEstimate> local_est(num_tables);

@@ -142,6 +142,7 @@ Status ExternalSorter::Add(std::vector<Datum> keys, Row row) {
   e.row = std::move(row);
   e.seq = next_seq_++;
   e.bytes = EntryBytes(e);
+  max_entry_bytes_ = std::max(max_entry_bytes_, e.bytes);
 
   auto heap_less = [this](const Entry& a, const Entry& b) {
     return EntryLess(a, b);
@@ -180,7 +181,9 @@ Status ExternalSorter::Add(std::vector<Datum> keys, Row row) {
     }
   }
 
-  // Full (spillable) accumulation.
+  // Full (spillable) accumulation. A degraded top-N first drops what
+  // cannot beat its cutoff.
+  if (has_cutoff_ && !EntryLess(e, cutoff_)) return Status::OK();
   Status st = reserved_.Reserve(e.bytes);
   if (!st.ok()) {
     if (!st.IsResourceExhausted() || options_.spill_disk == nullptr ||
@@ -203,11 +206,66 @@ Status ExternalSorter::ConvertTopNToExternal() {
   return SpillRun();
 }
 
+void ExternalSorter::OfferCutoff(const Entry& e) {
+  if (has_cutoff_ && !EntryLess(e, cutoff_)) return;
+  cutoff_.keys = e.keys;
+  cutoff_.seq = e.seq;
+  has_cutoff_ = true;
+}
+
+namespace {
+
+void EncodeEntry(const std::vector<Datum>& keys, const Row& row, int64_t seq,
+                 std::string* record) {
+  record->clear();
+  PutVarint32(record, static_cast<uint32_t>(keys.size()));
+  for (const Datum& k : keys) EncodeDatum(record, k);
+  PutVarint32(record, static_cast<uint32_t>(row.size()));
+  for (const Datum& d : row) EncodeDatum(record, d);
+  PutVarint64(record, static_cast<uint64_t>(seq));
+}
+
+}  // namespace
+
 Status ExternalSorter::SpillRun() {
+  ODH_RETURN_IF_ERROR(WriteRun());
+  if (options_.limit >= 0 && MergeOutgrowsBudget()) return MergeRuns();
+  return Status::OK();
+}
+
+bool ExternalSorter::MergeOutgrowsBudget() {
+  int64_t limit = 0;
+  for (common::MemoryTracker* t = options_.memory; t != nullptr;
+       t = t->parent()) {
+    if (t->limit() > 0 && (limit == 0 || t->limit() < limit)) {
+      limit = t->limit();
+    }
+  }
+  const int64_t per_run =
+      static_cast<int64_t>(options_.spill_disk->page_size()) +
+      max_entry_bytes_;
+  return limit > 0 && static_cast<int64_t>(runs_.size()) * per_run > limit / 2;
+}
+
+Status ExternalSorter::WriteRun() {
   std::sort(rows_.begin(), rows_.end(),
             [this](const Entry& a, const Entry& b) { return EntryLess(a, b); });
+  // Under a LIMIT no run needs more than `limit` rows: the rest are beaten
+  // by `limit` rows of this run alone.
+  if (options_.limit >= 0 &&
+      static_cast<int64_t>(rows_.size()) > options_.limit) {
+    for (size_t i = static_cast<size_t>(options_.limit); i < rows_.size();
+         ++i) {
+      reserved_.Release(rows_[i].bytes);
+    }
+    rows_.resize(static_cast<size_t>(options_.limit));
+  }
+  if (options_.limit > 0 &&
+      static_cast<int64_t>(rows_.size()) == options_.limit) {
+    OfferCutoff(rows_.back());
+  }
   const std::string name =
-      options_.spill_name_prefix + "r" + std::to_string(runs_.size());
+      options_.spill_name_prefix + "r" + std::to_string(runs_created_++);
   // The rows being spilled fund the spill I/O: a spill triggers exactly
   // when the budget is exhausted, so the writer's arena page buffer may
   // not fit until reservations of outgoing rows are returned. Release in
@@ -215,9 +273,12 @@ Status ExternalSorter::SpillRun() {
   // gap between tracked and resident bytes stays bounded by one arena
   // block plus the rows already streamed to disk.
   size_t funded = 0;  // rows_[0..funded) have released their reservation.
+  // The page buffer comes from an arena local to this run, so its bytes
+  // go back to the budget when the run is written (the query arena only
+  // grows).
+  common::Arena arena(options_.memory);
   Result<std::unique_ptr<storage::SpillFileWriter>> writer =
-      storage::SpillFileWriter::Create(options_.spill_disk, name,
-                                       options_.arena);
+      storage::SpillFileWriter::Create(options_.spill_disk, name, &arena);
   while (!writer.ok() && writer.status().IsResourceExhausted() &&
          funded < rows_.size()) {
     const int64_t want =
@@ -229,7 +290,7 @@ Status ExternalSorter::SpillRun() {
       ++funded;
     }
     writer = storage::SpillFileWriter::Create(options_.spill_disk, name,
-                                              options_.arena);
+                                              &arena);
   }
   ODH_RETURN_IF_ERROR(writer.status());
   // Track the file before writing so an error mid-run still gets the file
@@ -239,12 +300,7 @@ Status ExternalSorter::SpillRun() {
   for (size_t i = 0; i < rows_.size(); ++i) {
     const Entry& e = rows_[i];
     if (i >= funded) reserved_.Release(e.bytes);
-    record.clear();
-    PutVarint32(&record, static_cast<uint32_t>(e.keys.size()));
-    for (const Datum& k : e.keys) EncodeDatum(&record, k);
-    PutVarint32(&record, static_cast<uint32_t>(e.row.size()));
-    for (const Datum& d : e.row) EncodeDatum(&record, d);
-    PutVarint64(&record, static_cast<uint64_t>(e.seq));
+    EncodeEntry(e.keys, e.row, e.seq, &record);
     ODH_RETURN_IF_ERROR((*writer)->Append(Slice(record)));
   }
   ODH_RETURN_IF_ERROR((*writer)->Finish());
@@ -252,6 +308,73 @@ Status ExternalSorter::SpillRun() {
   rows_.clear();
   rows_.shrink_to_fit();
   return Status::OK();
+}
+
+Status ExternalSorter::MergeRuns() {
+  common::Arena arena(options_.memory);  // Merge buffers, freed on return.
+  const std::vector<std::string> inputs = runs_;
+  const std::string name =
+      options_.spill_name_prefix + "r" + std::to_string(runs_created_++);
+  Entry last;
+  int64_t written = 0;
+  Status st = [&]() -> Status {
+    ODH_RETURN_IF_ERROR(OpenMerge(&arena));
+    ODH_ASSIGN_OR_RETURN(auto writer,
+                         storage::SpillFileWriter::Create(options_.spill_disk,
+                                                          name, &arena));
+    runs_.push_back(name);
+    std::string record;
+    while (written < options_.limit) {
+      ODH_ASSIGN_OR_RETURN(bool more, PopMerged(&last));
+      if (!more) break;
+      EncodeEntry(last.keys, last.row, last.seq, &record);
+      ODH_RETURN_IF_ERROR(writer->Append(Slice(record)));
+      ++written;
+    }
+    ODH_RETURN_IF_ERROR(writer->Finish());
+    spill_bytes_ += writer->data_bytes();
+    return Status::OK();
+  }();
+  // The merge's heads and page buffers go before the arena does, on every
+  // path; on error the files stay in runs_ for ReleaseAll to delete.
+  for (MergeSource& src : sources_) reserved_.Release(src.head.bytes);
+  sources_.clear();
+  ODH_RETURN_IF_ERROR(st);
+  if (written == options_.limit && written > 0) OfferCutoff(last);
+  for (const std::string& input : inputs) {
+    (void)options_.spill_disk->DeleteFile(input);
+  }
+  runs_.assign(1, name);
+  return Status::OK();
+}
+
+Status ExternalSorter::OpenMerge(common::Arena* arena) {
+  sources_.clear();
+  sources_.reserve(runs_.size());
+  for (const std::string& name : runs_) {
+    ODH_ASSIGN_OR_RETURN(
+        auto reader,
+        storage::SpillFileReader::Open(options_.spill_disk, name, arena));
+    MergeSource src;
+    src.reader = std::move(reader);
+    sources_.push_back(std::move(src));
+    ODH_RETURN_IF_ERROR(AdvanceSource(&sources_.back()));
+  }
+  return Status::OK();
+}
+
+Result<bool> ExternalSorter::PopMerged(Entry* out) {
+  MergeSource* best = nullptr;
+  for (MergeSource& src : sources_) {
+    if (src.exhausted) continue;
+    if (best == nullptr || EntryLess(src.head, best->head)) best = &src;
+  }
+  if (best == nullptr) return false;
+  reserved_.Release(best->head.bytes);
+  best->head.bytes = 0;
+  *out = std::move(best->head);
+  ODH_RETURN_IF_ERROR(AdvanceSource(best));
+  return true;
 }
 
 Status ExternalSorter::AdvanceSource(MergeSource* src) {
@@ -294,17 +417,7 @@ Status ExternalSorter::Finish() {
   }
   // Spill the in-memory tail so emission merges uniformly from disk.
   if (!rows_.empty()) ODH_RETURN_IF_ERROR(SpillRun());
-  sources_.reserve(runs_.size());
-  for (const std::string& name : runs_) {
-    ODH_ASSIGN_OR_RETURN(
-        auto reader, storage::SpillFileReader::Open(options_.spill_disk, name,
-                                                    options_.arena));
-    MergeSource src;
-    src.reader = std::move(reader);
-    sources_.push_back(std::move(src));
-    ODH_RETURN_IF_ERROR(AdvanceSource(&sources_.back()));
-  }
-  return Status::OK();
+  return OpenMerge(options_.arena);
 }
 
 Result<bool> ExternalSorter::Next(Row* row) {
@@ -319,16 +432,10 @@ Result<bool> ExternalSorter::Next(Row* row) {
     ++emitted_;
     return true;
   }
-  MergeSource* best = nullptr;
-  for (MergeSource& src : sources_) {
-    if (src.exhausted) continue;
-    if (best == nullptr || EntryLess(src.head, best->head)) best = &src;
-  }
-  if (best == nullptr) return false;
-  reserved_.Release(best->head.bytes);
-  best->head.bytes = 0;
-  *row = std::move(best->head.row);
-  ODH_RETURN_IF_ERROR(AdvanceSource(best));
+  Entry e;
+  ODH_ASSIGN_OR_RETURN(bool more, PopMerged(&e));
+  if (!more) return false;
+  *row = std::move(e.row);
   ++emitted_;
   return true;
 }

@@ -32,7 +32,13 @@ int CompareDatumsForSort(const Datum& a, const Datum& b);
 ///    runs, reading one page per run.
 ///  - A top-N whose kept set itself exceeds the budget degrades to the
 ///    spill path (every row it had discarded was provably outside the
-///    top N, so correctness is unaffected).
+///    top N, so correctness is unaffected). Degraded, it stays bounded:
+///    each run is cut to N rows; once N rows are known, a candidate that
+///    does not beat the N-th (the cutoff; ties lose, as in the heap) is
+///    discarded unaccounted; and once the final merge's buffers (a page
+///    and a head row per run) would take half the tightest budget, the
+///    runs are merged into one run of at most N rows, which sets the
+///    cutoff.
 ///  - With no spill disk (or a budget too small for even the merge
 ///    buffers) the sorter fails fast with ResourceExhausted.
 ///
@@ -99,11 +105,28 @@ class ExternalSorter {
   int64_t EntryBytes(const Entry& e) const;
 
   Status ReserveEntry(Entry* e);
-  /// Sorts rows_ and writes it out as the next run, releasing its memory.
+  /// Sorts rows_ and writes it out as the next run, releasing its memory
+  /// (cut to `limit` rows under a LIMIT); a degraded top-N then merges
+  /// its runs when MergeOutgrowsBudget.
   Status SpillRun();
+  Status WriteRun();
   /// Top-N overflow: the kept set becomes run 0 and the sorter continues
   /// in full (spillable) mode.
   Status ConvertTopNToExternal();
+  /// True when merging every run (a page buffer and a head row each)
+  /// would take half the tightest budget on the tracker chain.
+  bool MergeOutgrowsBudget();
+  /// Degraded top-N: merges every run into one of at most `limit` rows.
+  Status MergeRuns();
+  /// Raises the cutoff to `e` when `e` ranks better than it: `e` is the
+  /// last row of a sorted run holding exactly `limit` rows.
+  void OfferCutoff(const Entry& e);
+  /// Opens a merge over every run (one decoded head per run), its page
+  /// buffers carved from `arena`.
+  Status OpenMerge(common::Arena* arena);
+  /// Moves the best merge head into *out and refills its run; false once
+  /// every run is exhausted.
+  Result<bool> PopMerged(Entry* out);
   Status AdvanceSource(MergeSource* src);
 
   Options options_;
@@ -111,6 +134,12 @@ class ExternalSorter {
   int64_t next_seq_ = 0;
   std::vector<Entry> rows_;  // Heap-ordered in top-N mode.
   std::vector<std::string> runs_;
+  int64_t runs_created_ = 0;  // Run-file name counter.
+  int64_t max_entry_bytes_ = 0;  // Largest row added (merge-head estimate).
+  /// Degraded top-N: keys and seq of a row with at least `limit` rows at
+  /// or above it. Keys only, so it is not charged to the budget.
+  bool has_cutoff_ = false;
+  Entry cutoff_;
   int64_t spill_bytes_ = 0;
   common::ScopedReservation reserved_;
 

@@ -28,6 +28,23 @@ struct ColumnConstraint {
   std::optional<Bound> upper;
 };
 
+/// `ORDER BY <column> [ASC|DESC] LIMIT k`, passed down as an optional hint
+/// when the query sorts the scan's qualifying rows directly: single table,
+/// no aggregation, and every WHERE conjunct pushed into the constraints
+/// (so each row the provider emits reaches the sorter).
+///
+/// Contract: a provider may omit any row whose `column` value is strictly
+/// worse (later for DESC, earlier for ASC) than the k-th best qualifying
+/// row's; rows with equal `column` values must keep the relative order
+/// they would have without the hint. The engine still runs its stable
+/// top-k sort over what arrives, so the answer is unchanged — ties and
+/// NULLs included — and a provider may simply ignore the hint.
+struct OrderLimitHint {
+  int column = -1;
+  bool descending = false;
+  int64_t limit = 0;
+};
+
 /// What a scan must produce. Providers must apply all constraints exactly.
 /// `projection` (ascending column positions; empty = all) is advisory:
 /// providers return full-width rows but may leave unprojected columns NULL,
@@ -39,6 +56,8 @@ struct ScanSpec {
   /// nullptr when nobody is profiling. Providers that decode blobs bump it
   /// so EXPLAIN PROFILE can report per-statement I/O.
   common::ScanCounters* counters = nullptr;
+  /// See OrderLimitHint; unset for every other query shape.
+  std::optional<OrderLimitHint> order_limit;
 
   const ColumnConstraint* FindColumn(int column) const {
     for (const auto& c : constraints) {
@@ -175,6 +194,11 @@ class TableProvider {
   /// scan (an index exists / the column keys a batch structure). The
   /// planner uses this to consider index-nested-loop joins.
   virtual bool SupportsPointLookup(int column) const = 0;
+
+  /// True if the provider acts on an OrderLimitHint leading with `column`
+  /// (it may stop reading early); providers that ignore the hint keep the
+  /// default. Only decides whether EXPLAIN reports a pushdown.
+  virtual bool HonoursOrderLimit(int column) const { return false; }
 
   /// RTTI-free downcast hook; overridden by RelationalTableProvider.
   virtual class RelationalTableProvider* AsRelational() { return nullptr; }

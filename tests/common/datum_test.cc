@@ -15,6 +15,9 @@ TEST(DatumTest, TypePredicates) {
   // Timestamp is not a plain int64 and vice versa.
   EXPECT_FALSE(Datum::Time(123).is_int64());
   EXPECT_FALSE(Datum::Int64(123).is_timestamp());
+  // Both integral accessors read either integral type.
+  EXPECT_EQ(Datum::Time(123).int64_value(), 123);
+  EXPECT_EQ(Datum::Int64(123).timestamp_value(), 123);
 }
 
 TEST(DatumTest, TypeEnum) {

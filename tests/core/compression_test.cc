@@ -243,11 +243,18 @@ TEST(CompressionTest, TimestampRoundTripRegularAndJittered) {
 }
 
 // Property sweep: every codec respects its contract on random inputs.
+// gtest names each case after the parameter's bytes, so the struct spells
+// out its padding as zeroed bytes: otherwise the names would carry whatever
+// the stack held and change from one test discovery to the next.
 struct CodecParam {
+  CodecParam(ValueCodec c, double e, uint64_t s)
+      : codec(c), max_error(e), seed(s) {}
   ValueCodec codec;
+  uint8_t unused[7] = {};
   double max_error;
   uint64_t seed;
 };
+static_assert(sizeof(CodecParam) == 24, "CodecParam must have no padding");
 
 class CodecPropertyTest : public ::testing::TestWithParam<CodecParam> {};
 

@@ -116,6 +116,9 @@ class ReplicationTest : public ::testing::Test {
   std::unique_ptr<HistorianServer> server_;
   std::unique_ptr<HistorianServer> replica_server_;
   std::unique_ptr<core::ReplicaApplier> applier_;
+  /// A fault policy the tail loop uses must outlive it: TearDown stops
+  /// the loop, which may still be reconnecting when the test body ends.
+  std::unique_ptr<FaultPolicy> faults_;
   std::unique_ptr<ReplicationClient> rclient_;
   bool fast_backoff_applied_ = false;
   int type_ = 0;
@@ -194,12 +197,12 @@ TEST_F(ReplicationTest, ReconnectCatchesUpWithoutLossOrDuplication) {
   // Seeded read faults on the subscriber's transport cut the stream
   // repeatedly; every cut forces a reconnect that must resume from the
   // applied LSN — never re-applying (duplicates) or skipping (loss).
-  FaultPolicy faults(/*seed=*/21);
-  faults.FailNthRead(4);
-  faults.FailNthRead(9);
-  faults.FailNthRead(15);
+  faults_ = std::make_unique<FaultPolicy>(/*seed=*/21);
+  faults_->FailNthRead(4);
+  faults_->FailNthRead(9);
+  faults_->FailNthRead(15);
   ReplicationClientOptions options;
-  options.fault_policy = &faults;
+  options.fault_policy = faults_.get();
   options.retry.initial_backoff_ms = 1;
   options.retry.max_backoff_ms = 8;
   fast_backoff_applied_ = true;
@@ -210,9 +213,39 @@ TEST_F(ReplicationTest, ReconnectCatchesUpWithoutLossOrDuplication) {
     ASSERT_TRUE(CatchUp());
   }
   ExpectParity();
-  EXPECT_GT(faults.faults_injected(), 0u) << "schedule never fired";
+  EXPECT_GT(faults_->faults_injected(), 0u) << "schedule never fired";
   EXPECT_GE(rclient_->reconnects(), 1);
   ODH_CHECK_OK(rclient_->fatal_error());
+}
+
+TEST_F(ReplicationTest, BootstrapCutBeforeItsEndIsRestartedFromScratch) {
+  // A link that drops between a snapshot's chunks and its end frame leaves
+  // the applied LSN at 0, so the reconnect bootstraps again. The records
+  // of the cut snapshot must not reach the store: the second snapshot
+  // already holds them.
+  StartPrimary();
+  IngestPoints(0, 60);
+  auto first = primary_->store()->SnapshotForReplication();
+  ODH_CHECK_OK(first.status());
+  ASSERT_FALSE(first->records.empty());
+  IngestPoints(60, 20);
+  auto second = primary_->store()->SnapshotForReplication();
+  ODH_CHECK_OK(second.status());
+
+  replica_ = std::make_unique<core::OdhSystem>(odh_options_);
+  ASSERT_EQ(replica_->DefineSchemaType("env", {"temperature"}).value(), type_);
+  ODH_CHECK_OK(
+      replica_->RegisterSource(1, type_, kMicrosPerSecond, /*regular=*/true));
+  applier_ = std::make_unique<core::ReplicaApplier>(replica_->store());
+  applier_->BeginSnapshot();
+  applier_->AddSnapshotRecords(first->records);  // Link drops here.
+  EXPECT_EQ(applier_->applied_lsn(), 0u);
+  applier_->BeginSnapshot();
+  applier_->AddSnapshotRecords(second->records);
+  ODH_CHECK_OK(applier_->FinishSnapshot(second->base_lsn));
+  EXPECT_EQ(applier_->applied_lsn(), second->base_lsn);
+  ExpectParity();
+  EXPECT_EQ(Summary(replica_.get()).first, 80);
 }
 
 TEST_F(ReplicationTest, CompactionAndRetentionDropsReplicate) {

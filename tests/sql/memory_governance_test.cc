@@ -287,6 +287,52 @@ TEST(MemoryGovernanceTest, TopNOverBudgetConvertsToSpillAndStaysExact) {
   EXPECT_EQ(CountSpillFiles(&governed), 0);
 }
 
+/// Eight regular sensors, 10000 points each (80k rows): a LIMIT 5000 kept
+/// set is several times a 256 KiB budget. Prices repeat across sensors,
+/// so the leading key ties and the tie-breakers decide.
+void FillDeepHistorian(core::OdhSystem* odh) {
+  int type = odh->DefineSchemaType("td", {"price"}).value();
+  for (SourceId id = 1; id <= 8; ++id) {
+    ODH_CHECK_OK(odh->RegisterSource(id, type, kMicrosPerSecond,
+                                     /*regular=*/true));
+    for (int i = 0; i < 10000; ++i) {
+      ODH_CHECK_OK(odh->Ingest({id, i * kMicrosPerSecond,
+                                {static_cast<double>((i * 7919 + id) % 997)}}));
+    }
+  }
+  ODH_CHECK_OK(odh->FlushAll());
+}
+
+TEST(MemoryGovernanceTest, TopNSpillsUnderTightBudgetAndMatchesUnbounded) {
+  core::OdhSystem plain;
+  FillDeepHistorian(&plain);
+  core::OdhSystem governed(Governed(/*query_bytes=*/256 * 1024));
+  FillDeepHistorian(&governed);
+
+  const std::string q =
+      "SELECT id, ts, price FROM td_v ORDER BY price DESC, ts LIMIT 5000";
+  Session plain_session(plain.engine());
+  auto expected = plain_session.Execute(q);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->rows.size(), 5000u);
+  EXPECT_EQ(expected->profile.spill_runs, 0);
+  const std::vector<std::string> want = Render(expected->rows);
+
+  Session session(governed.engine());
+  auto stream = session.ExecuteStreaming(q);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  EXPECT_EQ(Render(Drain(stream->get())), want);
+  EXPECT_GT((*stream)->profile().spill_runs, 0);
+  EXPECT_LE((*stream)->profile().mem_peak_bytes, 256 * 1024);
+
+  auto materialized = session.Execute(q);
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_EQ(Render(materialized->rows), want);
+  EXPECT_GT(materialized->profile.spill_runs, 0);
+  EXPECT_EQ(session.memory()->used(), 0);
+  EXPECT_EQ(CountSpillFiles(&governed), 0);
+}
+
 TEST(MemoryGovernanceTest, NonSpillableAggregationFailsFastLeakFree) {
   core::OdhSystem governed(Governed(/*query_bytes=*/16 * 1024));
   Session session(governed.engine());

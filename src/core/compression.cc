@@ -1,5 +1,6 @@
 #include "core/compression.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -13,7 +14,6 @@ namespace {
 constexpr int kMaxQuantBits = 20;  // Beyond this, quantization stops paying.
 
 struct ColumnProfile {
-  size_t present = 0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
   double mean_abs_step = 0;
@@ -27,7 +27,6 @@ ColumnProfile Profile(const double* values, size_t n) {
   size_t steps = 0;
   for (size_t i = 0; i < n; ++i) {
     if (std::isnan(values[i])) continue;
-    ++p.present;
     if (values[i] < p.min) p.min = values[i];
     if (values[i] > p.max) p.max = values[i];
     if (have_prev) {
@@ -41,32 +40,21 @@ ColumnProfile Profile(const double* values, size_t n) {
   return p;
 }
 
-/// Collects present values (order preserved).
-std::vector<double> PresentValues(const double* values, size_t n) {
-  std::vector<double> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isnan(values[i])) out.push_back(values[i]);
-  }
-  return out;
+void EncodeRaw(const double* v, size_t n, std::string* out) {
+  for (size_t i = 0; i < n; ++i) PutDouble(out, v[i]);
 }
 
-void EncodeRaw(const std::vector<double>& v, std::string* out) {
-  for (double x : v) PutDouble(out, x);
-}
-
-Status DecodeRaw(Slice* input, size_t n, std::vector<double>* out) {
-  out->resize(n);
+Status DecodeRaw(Slice* input, size_t n, double* out) {
   for (size_t i = 0; i < n; ++i) {
-    if (!GetDouble(input, &(*out)[i])) return Status::Corruption("raw value");
+    if (!GetDouble(input, &out[i])) return Status::Corruption("raw value");
   }
   return Status::OK();
 }
 
-void EncodeXor(const std::vector<double>& v, std::string* out) {
+void EncodeXor(const double* v, size_t n, std::string* out) {
   BitWriter writer(out);
   uint64_t prev = 0;
-  for (size_t i = 0; i < v.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     uint64_t bits;
     std::memcpy(&bits, &v[i], 8);
     if (i == 0) {
@@ -76,13 +64,15 @@ void EncodeXor(const std::vector<double>& v, std::string* out) {
       if (x == 0) {
         writer.WriteBit(false);
       } else {
-        writer.WriteBit(true);
         int leading = __builtin_clzll(x);
         int trailing = __builtin_ctzll(x);
         if (leading > 63) leading = 63;
         int length = 64 - leading - trailing;
-        writer.Write(static_cast<uint64_t>(leading), 6);
-        writer.Write(static_cast<uint64_t>(length - 1), 6);
+        // Flag bit, 6-bit leading-zero count and 6-bit length in one write.
+        writer.Write((uint64_t{1} << 12) |
+                         (static_cast<uint64_t>(leading) << 6) |
+                         static_cast<uint64_t>(length - 1),
+                     13);
         writer.Write(x >> trailing, length);
       }
     }
@@ -91,8 +81,7 @@ void EncodeXor(const std::vector<double>& v, std::string* out) {
   writer.Finish();
 }
 
-Status DecodeXor(Slice input, size_t n, std::vector<double>* out) {
-  out->resize(n);
+Status DecodeXor(Slice input, size_t n, double* out) {
   BitReader reader(input);
   uint64_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -105,12 +94,12 @@ Status DecodeXor(Slice input, size_t n, std::vector<double>* out) {
       if (!changed) {
         bits = prev;
       } else {
-        uint64_t leading, length_minus1, payload;
-        if (!reader.Read(6, &leading) || !reader.Read(6, &length_minus1)) {
+        uint64_t header, payload;
+        if (!reader.Read(12, &header)) {
           return Status::Corruption("xor header");
         }
-        int length = static_cast<int>(length_minus1) + 1;
-        int trailing = 64 - static_cast<int>(leading) - length;
+        int length = static_cast<int>(header & 63) + 1;
+        int trailing = 64 - static_cast<int>(header >> 6) - length;
         if (trailing < 0) return Status::Corruption("xor widths");
         if (!reader.Read(length, &payload)) {
           return Status::Corruption("xor payload");
@@ -118,7 +107,7 @@ Status DecodeXor(Slice input, size_t n, std::vector<double>* out) {
         bits = prev ^ (payload << trailing);
       }
     }
-    std::memcpy(&(*out)[i], &bits, 8);
+    std::memcpy(&out[i], &bits, 8);
     prev = bits;
   }
   return Status::OK();
@@ -127,11 +116,11 @@ Status DecodeXor(Slice input, size_t n, std::vector<double>* out) {
 /// Swinging-door pivots over the compacted (present-only) sequence.
 /// Pivot values come from the corridor midpoint so every reconstructed
 /// point deviates at most `max_error` from the original.
-void EncodeLinear(const std::vector<double>& v, double max_error,
+void EncodeLinear(const double* v, size_t n, double max_error,
                   std::string* out) {
   const double e = max_error;
-  PutVarint32(out, static_cast<uint32_t>(v.size()));
-  if (v.empty()) return;
+  PutVarint32(out, static_cast<uint32_t>(n));
+  if (n == 0) return;
   std::vector<std::pair<uint32_t, double>> pivots;
   pivots.emplace_back(0, v[0]);
   size_t start = 0;
@@ -139,7 +128,7 @@ void EncodeLinear(const std::vector<double>& v, double max_error,
   double slope_hi = std::numeric_limits<double>::infinity();
   double slope_lo = -std::numeric_limits<double>::infinity();
   double last_ok_hi = 0, last_ok_lo = 0;  // Corridor at the previous index.
-  for (size_t i = start + 1; i < v.size(); ++i) {
+  for (size_t i = start + 1; i < n; ++i) {
     double dx = static_cast<double>(i - start);
     double hi = (v[i] + e - start_val) / dx;
     double lo = (v[i] - e - start_val) / dx;
@@ -164,8 +153,8 @@ void EncodeLinear(const std::vector<double>& v, double max_error,
       last_ok_lo = slope_lo;
     }
   }
-  if (v.size() > start + 1 || pivots.size() == 1) {
-    size_t last = v.size() - 1;
+  if (n > start + 1 || pivots.size() == 1) {
+    size_t last = n - 1;
     double val;
     if (last == start) {
       val = start_val;
@@ -186,11 +175,13 @@ void EncodeLinear(const std::vector<double>& v, double max_error,
   }
 }
 
-Status DecodeLinear(Slice* input, std::vector<double>* out) {
-  uint32_t n, num_pivots;
-  if (!GetVarint32(input, &n)) return Status::Corruption("linear n");
-  out->assign(n, 0);
+/// Decodes `n` values; the stored count must equal it.
+Status DecodeLinear(Slice* input, size_t n, double* out) {
+  uint32_t stored, num_pivots;
+  if (!GetVarint32(input, &stored)) return Status::Corruption("linear n");
+  if (stored != n) return Status::Corruption("linear count mismatch");
   if (n == 0) return Status::OK();
+  std::fill(out, out + n, 0.0);
   if (!GetVarint32(input, &num_pivots) || num_pivots == 0) {
     return Status::Corruption("linear pivots");
   }
@@ -206,12 +197,12 @@ Status DecodeLinear(Slice* input, std::vector<double>* out) {
     uint32_t idx = first ? delta : prev_idx + delta;
     if (idx >= n) return Status::Corruption("linear pivot index");
     if (first) {
-      (*out)[idx] = val;
+      out[idx] = val;
     } else {
       for (uint32_t i = prev_idx + 1; i <= idx; ++i) {
         double t = static_cast<double>(i - prev_idx) /
                    static_cast<double>(idx - prev_idx);
-        (*out)[i] = prev_val + t * (val - prev_val);
+        out[i] = prev_val + t * (val - prev_val);
       }
     }
     prev_idx = idx;
@@ -219,24 +210,24 @@ Status DecodeLinear(Slice* input, std::vector<double>* out) {
     first = false;
   }
   // Trailing values past the last pivot hold the last value.
-  for (uint32_t i = prev_idx + 1; i < n; ++i) (*out)[i] = prev_val;
+  for (size_t i = prev_idx + 1; i < n; ++i) out[i] = prev_val;
   return Status::OK();
 }
 
 /// Quantization: header (min, step, bit width), then bit-packed codes.
 /// Returns false if the value range needs too many bits to pay off.
-bool EncodeQuantized(const std::vector<double>& v, double max_error,
+bool EncodeQuantized(const double* v, size_t n, double max_error,
                      std::string* out) {
-  if (v.empty()) {
+  if (n == 0) {
     PutDouble(out, 0);
     PutDouble(out, 1);
     out->push_back(1);
     return true;
   }
   double min = v[0], max = v[0];
-  for (double x : v) {
-    if (x < min) min = x;
-    if (x > max) max = x;
+  for (size_t i = 0; i < n; ++i) {
+    if (v[i] < min) min = v[i];
+    if (v[i] > max) max = v[i];
   }
   double step = 2 * max_error;
   double levels_d = step > 0 ? (max - min) / step : 0;
@@ -247,16 +238,17 @@ bool EncodeQuantized(const std::vector<double>& v, double max_error,
   PutDouble(out, step);
   out->push_back(static_cast<char>(width));
   BitWriter writer(out);
-  for (double x : v) {
+  for (size_t i = 0; i < n; ++i) {
     uint64_t code =
-        step > 0 ? static_cast<uint64_t>(std::llround((x - min) / step)) : 0;
+        step > 0 ? static_cast<uint64_t>(std::llround((v[i] - min) / step))
+                 : 0;
     writer.Write(code, width);
   }
   writer.Finish();
   return true;
 }
 
-Status DecodeQuantized(Slice input, size_t n, std::vector<double>* out) {
+Status DecodeQuantized(Slice input, size_t n, double* out) {
   double min, step;
   if (!GetDouble(&input, &min) || !GetDouble(&input, &step)) {
     return Status::Corruption("quant header");
@@ -265,73 +257,94 @@ Status DecodeQuantized(Slice input, size_t n, std::vector<double>* out) {
   int width = static_cast<uint8_t>(input[0]);
   input.remove_prefix(1);
   if (width <= 0 || width > 63) return Status::Corruption("quant width");
-  out->resize(n);
   BitReader reader(input);
   for (size_t i = 0; i < n; ++i) {
     uint64_t code;
     if (!reader.Read(width, &code)) return Status::Corruption("quant code");
-    (*out)[i] = min + static_cast<double>(code) * step;
+    out[i] = min + static_cast<double>(code) * step;
   }
   return Status::OK();
+}
+
+/// Codec choice once the present count is known. The full profile is only
+/// taken when lossy codecs are allowed: lossless choices depend on the
+/// count alone.
+ValueCodec ChooseCodec(const double* values, size_t n, size_t present,
+                       const CompressionSpec& spec) {
+  if (spec.force) return spec.forced_codec;
+  if (present < 4) return ValueCodec::kRaw;
+  if (spec.max_error <= 0) return ValueCodec::kXor;
+  ColumnProfile p = Profile(values, n);
+  double range = p.max - p.min;
+  if (range <= 0) return ValueCodec::kLinear;  // Constant: 2 pivots.
+  double smoothness = p.mean_abs_step / range;
+  // Smooth, slowly varying signals compress best piecewise-linearly;
+  // noisy ones quantize better (paper's variability-aware strategy).
+  return smoothness < 0.05 ? ValueCodec::kLinear : ValueCodec::kQuantized;
 }
 
 }  // namespace
 
 ValueCodec SelectCodec(const double* values, size_t n,
                        const CompressionSpec& spec) {
-  if (spec.force) return spec.forced_codec;
-  ColumnProfile p = Profile(values, n);
-  if (p.present < 4) return ValueCodec::kRaw;
-  if (spec.max_error > 0) {
-    double range = p.max - p.min;
-    if (range <= 0) return ValueCodec::kLinear;  // Constant: 2 pivots.
-    double smoothness = p.mean_abs_step / range;
-    // Smooth, slowly varying signals compress best piecewise-linearly;
-    // noisy ones quantize better (paper's variability-aware strategy).
-    return smoothness < 0.05 ? ValueCodec::kLinear : ValueCodec::kQuantized;
-  }
-  return ValueCodec::kXor;
+  size_t present = 0;
+  for (size_t i = 0; i < n; ++i) present += !std::isnan(values[i]);
+  return ChooseCodec(values, n, present, spec);
 }
 
 Status EncodeColumn(const double* values, size_t n,
                     const CompressionSpec& spec, std::string* out) {
-  ValueCodec codec = SelectCodec(values, n, spec);
-  std::vector<double> present = PresentValues(values, n);
+  const size_t header_pos = out->size();
+  const size_t bitmap_bytes = (n + 7) / 8;
+  out->resize(header_pos + 1 + bitmap_bytes);
+  // Presence bitmap, built a byte at a time while counting present values.
+  size_t present = 0;
+  for (size_t b = 0; b < bitmap_bytes; ++b) {
+    const size_t lo = b * 8;
+    const size_t hi = std::min(n, lo + 8);
+    unsigned byte = 0;
+    for (size_t i = lo; i < hi; ++i) {
+      byte |= static_cast<unsigned>(!std::isnan(values[i])) << (i - lo);
+    }
+    (*out)[header_pos + 1 + b] = static_cast<char>(byte);
+    present += static_cast<size_t>(__builtin_popcount(byte));
+  }
+  const ValueCodec codec = ChooseCodec(values, n, present, spec);
   // Lossy codecs require an error bound.
   if (spec.max_error <= 0 &&
       (codec == ValueCodec::kLinear || codec == ValueCodec::kQuantized)) {
+    out->resize(header_pos);
     return Status::InvalidArgument("lossy codec requires max_error > 0");
   }
+  (*out)[header_pos] = static_cast<char>(codec);
 
-  size_t header_pos = out->size();
-  out->push_back(static_cast<char>(codec));
-  // Presence bitmap.
-  const size_t bitmap_bytes = (n + 7) / 8;
-  size_t bitmap_pos = out->size();
-  out->append(bitmap_bytes, '\0');
-  for (size_t i = 0; i < n; ++i) {
-    if (!std::isnan(values[i])) {
-      (*out)[bitmap_pos + i / 8] |= static_cast<char>(1 << (i % 8));
+  // The codecs see present values only: the column itself when nothing is
+  // missing, otherwise a compacted copy.
+  std::vector<double> compacted;
+  const double* v = values;
+  if (present < n) {
+    compacted.reserve(present);
+    for (size_t i = 0; i < n; ++i) {
+      if (!std::isnan(values[i])) compacted.push_back(values[i]);
     }
+    v = compacted.data();
   }
   switch (codec) {
     case ValueCodec::kRaw:
-      EncodeRaw(present, out);
+      EncodeRaw(v, present, out);
       break;
     case ValueCodec::kXor:
-      EncodeXor(present, out);
+      EncodeXor(v, present, out);
       break;
     case ValueCodec::kLinear:
-      EncodeLinear(present, spec.max_error, out);
+      EncodeLinear(v, present, spec.max_error, out);
       break;
     case ValueCodec::kQuantized:
-      if (!EncodeQuantized(present, spec.max_error, out)) {
-        // Range too wide for quantization: rewrite as XOR.
-        out->resize(header_pos);
-        CompressionSpec fallback;
-        fallback.force = true;
-        fallback.forced_codec = ValueCodec::kXor;
-        return EncodeColumn(values, n, fallback, out);
+      if (!EncodeQuantized(v, present, spec.max_error, out)) {
+        // Range too wide for quantization: XOR instead.
+        out->resize(header_pos + 1 + bitmap_bytes);
+        (*out)[header_pos] = static_cast<char>(ValueCodec::kXor);
+        EncodeXor(v, present, out);
       }
       break;
   }
@@ -344,40 +357,51 @@ Status DecodeColumn(Slice input, size_t n, std::vector<double>* values) {
   input.remove_prefix(1);
   const size_t bitmap_bytes = (n + 7) / 8;
   if (input.size() < bitmap_bytes) return Status::Corruption("bitmap");
-  const char* bitmap = input.data();
+  const uint8_t* bitmap = reinterpret_cast<const uint8_t*>(input.data());
   input.remove_prefix(bitmap_bytes);
   size_t present = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if ((bitmap[i / 8] >> (i % 8)) & 1) ++present;
+  for (size_t b = 0; b < bitmap_bytes; ++b) {
+    unsigned byte = bitmap[b];
+    if (b == n / 8) byte &= (1u << (n % 8)) - 1;  // Bits past n.
+    present += static_cast<size_t>(__builtin_popcount(byte));
   }
-  std::vector<double> decoded;
+  // A dense column decodes in place; a sparse one decodes its present
+  // values and then scatters them around the NaN gaps.
+  std::vector<double> sparse;
+  double* decoded;
+  if (present == n) {
+    values->resize(n);
+    decoded = values->data();
+  } else {
+    sparse.resize(present);
+    decoded = sparse.data();
+  }
   switch (codec) {
     case ValueCodec::kRaw: {
       Slice in = input;
-      ODH_RETURN_IF_ERROR(DecodeRaw(&in, present, &decoded));
+      ODH_RETURN_IF_ERROR(DecodeRaw(&in, present, decoded));
       break;
     }
     case ValueCodec::kXor:
-      ODH_RETURN_IF_ERROR(DecodeXor(input, present, &decoded));
+      ODH_RETURN_IF_ERROR(DecodeXor(input, present, decoded));
       break;
     case ValueCodec::kLinear: {
       Slice in = input;
-      ODH_RETURN_IF_ERROR(DecodeLinear(&in, &decoded));
-      if (decoded.size() != present) {
-        return Status::Corruption("linear count mismatch");
-      }
+      ODH_RETURN_IF_ERROR(DecodeLinear(&in, present, decoded));
       break;
     }
     case ValueCodec::kQuantized:
-      ODH_RETURN_IF_ERROR(DecodeQuantized(input, present, &decoded));
+      ODH_RETURN_IF_ERROR(DecodeQuantized(input, present, decoded));
       break;
     default:
       return Status::Corruption("unknown codec");
   }
-  values->assign(n, std::numeric_limits<double>::quiet_NaN());
-  size_t next = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if ((bitmap[i / 8] >> (i % 8)) & 1) (*values)[i] = decoded[next++];
+  if (present < n) {
+    values->assign(n, std::numeric_limits<double>::quiet_NaN());
+    size_t next = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if ((bitmap[i / 8] >> (i % 8)) & 1) (*values)[i] = sparse[next++];
+    }
   }
   return Status::OK();
 }
@@ -396,18 +420,21 @@ void EncodeTimestamps(const Timestamp* ts, size_t n, Timestamp base,
 
 Status DecodeTimestamps(Slice* input, size_t n, Timestamp base,
                         std::vector<Timestamp>* ts) {
+  // At least one varint byte per timestamp.
+  if (n > input->size()) return Status::Corruption("timestamp count");
   ts->resize(n);
-  int64_t prev_delta = 0;
-  Timestamp prev = base;
+  // Wrapping arithmetic: a corrupt blob must not overflow a signed add.
+  // Valid blobs never wrap, so they decode exactly.
+  uint64_t prev_delta = 0;
+  uint64_t prev = static_cast<uint64_t>(base);
   for (size_t i = 0; i < n; ++i) {
     int64_t dod;
     if (!GetVarintSigned64(input, &dod)) {
       return Status::Corruption("timestamp dod");
     }
-    int64_t delta = prev_delta + dod;
-    prev += delta;
-    (*ts)[i] = prev;
-    prev_delta = delta;
+    prev_delta += static_cast<uint64_t>(dod);
+    prev += prev_delta;
+    (*ts)[i] = static_cast<Timestamp>(prev);
   }
   return Status::OK();
 }

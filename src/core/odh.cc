@@ -203,6 +203,16 @@ void OdhSystem::RegisterGauges() {
     const Wal* wal = store->wal();
     return wal == nullptr ? 0.0 : static_cast<double>(wal->io_retries());
   });
+  // The log's footprint under the head rule: bytes still on disk and the
+  // LSN recovery would start at (odh.wal.bytes_released counts the rest).
+  m->RegisterGauge("odh.wal.live_bytes", [store] {
+    const Wal* wal = store->wal();
+    return wal == nullptr ? 0.0 : static_cast<double>(wal->live_bytes());
+  });
+  m->RegisterGauge("odh.wal.head_lsn", [store] {
+    const Wal* wal = store->wal();
+    return wal == nullptr ? 0.0 : static_cast<double>(wal->head_lsn());
+  });
 }
 
 Result<int> OdhSystem::DefineSchemaType(const std::string& name,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <mutex>
-#include <set>
 #include <tuple>
 
 #include "common/key_codec.h"
@@ -167,17 +166,62 @@ void OdhStore::UpdateStats(ContainerStats* stats, Timestamp begin,
 Status OdhStore::LogPut(WalRecord::Kind kind, int schema_type,
                         int64_t id_or_group, Timestamp begin, Timestamp end,
                         Timestamp interval, int64_t n, const Slice& blob,
-                        const Slice& zone_map) {
+                        const Slice& zone_map, uint64_t* lsn) {
   if (wal_ == nullptr) {
-    ODH_ASSIGN_OR_RETURN(wal_, Wal::Create(db_->disk(), kWalFileName));
+    ODH_ASSIGN_OR_RETURN(wal_, Wal::Create(db_->disk(), kWalFileName,
+                                           WalFileBytes(db_->disk())));
     wal_->SetInstruments(wal_sync_hist_, wal_group_commits_,
-                         wal_piggybacked_);
+                         wal_piggybacked_, wal_bytes_released_);
   }
   std::string payload;
   EncodeWalPayload(kind, schema_type, id_or_group, begin, end, interval, n,
                    blob, zone_map, &payload);
-  wal_->Append(payload);
+  const uint64_t at = wal_->Append(payload);
+  if (lsn != nullptr) *lsn = at;
   return Status::OK();
+}
+
+void OdhStore::ForgetMgLsn(Segment* seg, const MgKey& key) {
+  // Equal keys keep insertion order, which is log order: the first is the
+  // lowest LSN, the put recovery cancels.
+  auto it = seg->mg_lsns.lower_bound(key);
+  if (it != seg->mg_lsns.end() && it->first == key) seg->mg_lsns.erase(it);
+}
+
+Status OdhStore::ReleaseWalLocked() {
+  if (wal_ == nullptr) return Status::OK();
+  // Everything below the lowest position a live segment needs is dead;
+  // with nothing live, the whole log is. Every candidate is a record's
+  // LSN or the log end, so the mark is a frame boundary.
+  std::vector<uint64_t> needed = {wal_->appended_lsn()};
+  for (const auto& [schema_type, container] : containers_) {
+    (void)schema_type;
+    for (const auto& [key, seg] : container.segments) {
+      (void)key;
+      if (seg.series_lsn != kNoLsn) needed.push_back(seg.series_lsn);
+      for (const auto& [mg_key, lsn] : seg.mg_lsns) {
+        (void)mg_key;
+        needed.push_back(lsn);
+      }
+    }
+  }
+  uint64_t mark = *std::min_element(needed.begin(), needed.end());
+  // A replication pin below the mark holds the log at the highest known
+  // boundary at or below it (a pin comes off the wire, so it is not
+  // trusted to be a boundary itself).
+  for (const auto& [pin, lsn] : wal_pins_) {
+    (void)pin;
+    if (lsn >= mark) continue;
+    uint64_t held = wal_->head_lsn();
+    for (uint64_t candidate : needed) {
+      if (candidate <= lsn && candidate > held) held = candidate;
+    }
+    mark = held;
+  }
+  // Only durable bytes can be freed; callers sync first, so this bites
+  // only when that sync failed.
+  if (mark > wal_->synced_bytes()) return Status::OK();
+  return wal_->ReleaseBelow(mark);
 }
 
 Status OdhStore::PutRts(int schema_type, SourceId id, Timestamp begin,
@@ -188,10 +232,12 @@ Status OdhStore::PutRts(int schema_type, SourceId id, Timestamp begin,
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   // Log before the heap/index write: once Sync() flushes the log, the blob
   // is replayable even if the table pages never made it to disk.
+  uint64_t lsn = 0;
   ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kRts, schema_type, id, begin,
-                             end, interval, n, blob, zone_map));
+                             end, interval, n, blob, zone_map, &lsn));
   ODH_ASSIGN_OR_RETURN(Segment * seg,
                        GetSegmentForWrite(schema_type, container, begin));
+  if (seg->series_lsn == kNoLsn) seg->series_lsn = lsn;
   Row row = {Datum::Int64(id),       Datum::Time(begin),
              Datum::Time(end),       Datum::Int64(interval),
              Datum::Int64(n),        Datum::String(blob),
@@ -209,10 +255,12 @@ Status OdhStore::PutIrts(int schema_type, SourceId id, Timestamp begin,
                          const std::string& zone_map, uint64_t* put_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
+  uint64_t lsn = 0;
   ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kIrts, schema_type, id, begin,
-                             end, /*interval=*/0, n, blob, zone_map));
+                             end, /*interval=*/0, n, blob, zone_map, &lsn));
   ODH_ASSIGN_OR_RETURN(Segment * seg,
                        GetSegmentForWrite(schema_type, container, begin));
+  if (seg->series_lsn == kNoLsn) seg->series_lsn = lsn;
   Row row = {Datum::Int64(id), Datum::Time(begin), Datum::Time(end),
              Datum::Int64(0),  Datum::Int64(n),    Datum::String(blob),
              Datum::String(zone_map)};
@@ -229,10 +277,12 @@ Status OdhStore::PutMg(int schema_type, int64_t group, Timestamp begin,
                        const std::string& zone_map, uint64_t* put_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
-  ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kMg, schema_type, group,
-                             begin, end, /*interval=*/0, n, blob, zone_map));
+  uint64_t lsn = 0;
+  ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kMg, schema_type, group, begin,
+                             end, /*interval=*/0, n, blob, zone_map, &lsn));
   ODH_ASSIGN_OR_RETURN(Segment * seg,
                        GetSegmentForWrite(schema_type, container, begin));
+  seg->mg_lsns.emplace(MgKey{group, begin, end, n}, lsn);
   Row row = {Datum::Time(begin), Datum::Int64(group), Datum::Time(end),
              Datum::Int64(n), Datum::String(blob),
              Datum::String(zone_map)};
@@ -486,11 +536,15 @@ Status OdhStore::DeleteMg(int schema_type, int64_t seg_key,
     // Log the deletion so recovery does not resurrect a blob the
     // reorganizer already converted (its RTS/IRTS replacements are logged
     // by their own Puts).
-    ODH_RETURN_IF_ERROR(LogPut(
-        WalRecord::Kind::kMgDelete, schema_type,
-        (*row)[kMgGroup].int64_value(), (*row)[kMgBegin].timestamp_value(),
-        (*row)[kMgEnd].timestamp_value(), /*interval=*/0,
-        (*row)[kMgCount].int64_value(), Slice(), Slice()));
+    const MgKey key{(*row)[kMgGroup].int64_value(),
+                    (*row)[kMgBegin].timestamp_value(),
+                    (*row)[kMgEnd].timestamp_value(),
+                    (*row)[kMgCount].int64_value()};
+    ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kMgDelete, schema_type,
+                               std::get<0>(key), std::get<1>(key),
+                               std::get<2>(key), /*interval=*/0,
+                               std::get<3>(key), Slice(), Slice()));
+    ForgetMgLsn(&seg, key);
   }
   ++seg.manifest.version;
   return seg.mg->Delete(rid);
@@ -799,6 +853,7 @@ Result<int64_t> OdhStore::ApplyRetention(int schema_type) {
     container->segments.erase(key);
     segments_dropped_.fetch_add(1, std::memory_order_relaxed);
   }
+  if (!expired.empty()) ODH_RETURN_IF_ERROR(ReleaseWalLocked());
   return static_cast<int64_t>(expired.size());
 }
 
@@ -875,10 +930,11 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
   // at any later point replays the compacted segment, and a crash before
   // the Commit frame is durable discards the episode and keeps the old
   // one — exactly one of the two ever survives.
+  uint64_t begin_lsn = 0;
   ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kSegmentCompactBegin,
                              schema_type, key, seg.manifest.lo,
                              seg.manifest.hi, /*interval=*/0, /*n=*/0,
-                             Slice(), Slice()));
+                             Slice(), Slice(), &begin_lsn));
   for (const BlobRecord& rec : rts) {
     ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kRts, schema_type, rec.id,
                                rec.begin, rec.end, rec.interval, rec.n,
@@ -933,8 +989,11 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
   seg.manifest.generation = next_gen;
   seg.manifest.tier = SegmentTier::kCold;
   ++seg.manifest.version;
+  // The episode now holds every series blob of the segment: the records
+  // before its Begin are dead.
+  seg.series_lsn = begin_lsn;
   segments_compacted_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return ReleaseWalLocked();
 }
 
 Status OdhStore::RowToBlobRecord(const Row& row, const relational::Rid& rid,
@@ -974,7 +1033,8 @@ Status OdhStore::Sync(int schema_type) {
   return Status::OK();
 }
 
-Result<OdhStore::ReplicationSnapshot> OdhStore::SnapshotForReplication() {
+Result<OdhStore::ReplicationSnapshot> OdhStore::SnapshotForReplication(
+    uint64_t* pin) {
   std::lock_guard<std::mutex> lock(mu_);
   ReplicationSnapshot snap;
   if (wal_ != nullptr) {
@@ -982,6 +1042,10 @@ Result<OdhStore::ReplicationSnapshot> OdhStore::SnapshotForReplication() {
     // durable log covers every record any table row below came from.
     ODH_RETURN_IF_ERROR(wal_->Sync());
     snap.base_lsn = wal_->synced_bytes();
+  }
+  if (pin != nullptr) {
+    *pin = next_pin_++;
+    wal_pins_[*pin] = snap.base_lsn;
   }
   for (const auto& [schema_type, container] : containers_) {
     for (const auto& [key, seg] : container.segments) {
@@ -1049,6 +1113,31 @@ Result<Wal::TailChunk> OdhStore::ReadWal(uint64_t from_lsn,
   return log->ReadDurable(from_lsn, max_bytes);
 }
 
+Result<uint64_t> OdhStore::PinWal(uint64_t lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t head = wal_ == nullptr ? 0 : wal_->head_lsn();
+  if (lsn < head) {
+    return Status::OutOfRange("wal lsn " + std::to_string(lsn) +
+                              " is below the log head " +
+                              std::to_string(head) +
+                              ": truncated; re-bootstrap");
+  }
+  const uint64_t pin = next_pin_++;
+  wal_pins_[pin] = lsn;
+  return pin;
+}
+
+void OdhStore::MoveWalPin(uint64_t pin, uint64_t lsn) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = wal_pins_.find(pin);
+  if (it != wal_pins_.end()) it->second = lsn;
+}
+
+void OdhStore::UnpinWal(uint64_t pin) {
+  std::lock_guard<std::mutex> lock(mu_);
+  wal_pins_.erase(pin);
+}
+
 Timestamp OdhStore::MaxIngestedTimestamp() const {
   std::lock_guard<std::mutex> lock(mu_);
   Timestamp watermark = kMinTimestamp;
@@ -1088,6 +1177,7 @@ Status OdhStore::DeleteMgByContent(int schema_type, int64_t group,
         ODH_RETURN_IF_ERROR(LogPut(WalRecord::Kind::kMgDelete, schema_type,
                                    group, begin, end, /*interval=*/0, n,
                                    Slice(), Slice()));
+        ForgetMgLsn(&seg, MgKey{group, begin, end, n});
         ++seg.manifest.version;
         return seg.mg->Delete(it.rid());
       }
@@ -1122,13 +1212,15 @@ Status OdhStore::ApplyReplicatedDrop(int schema_type, int64_t key,
       std::max(seg.manifest.generation, seg.mg_epoch) + 1;
   container->segments.erase(key);
   segments_dropped_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return ReleaseWalLocked();
 }
 
 Result<RecoveryReport> OdhStore::Recover(storage::SimDisk* crashed_disk) {
-  ODH_ASSIGN_OR_RETURN(Wal::ReadResult log,
-                       Wal::ReadLog(crashed_disk, kWalFileName));
+  ODH_ASSIGN_OR_RETURN(
+      Wal::ReadResult log,
+      Wal::ReadLog(crashed_disk, kWalFileName, WalFileBytes(crashed_disk)));
   RecoveryReport report;
+  report.wal_head_lsn = log.head_lsn;
   report.wal_valid_bytes = log.valid_bytes;
   report.torn_bytes_dropped = log.torn_bytes_dropped;
 
@@ -1153,15 +1245,17 @@ Result<RecoveryReport> OdhStore::Recover(storage::SimDisk* crashed_disk) {
     records.push_back(std::move(rec));
   }
 
-  // Pass 1: classify segment ops. A committed compaction episode
-  // (Begin..Commit, appended contiguously under the store mutex) or a
-  // retention drop supersedes every EARLIER data record of its schema type
-  // whose begin lies inside the logged segment bounds; an episode whose
-  // Commit never made it to the log is discarded wholesale.
+  // Pass 1: classify segment ops. A retention drop supersedes every
+  // EARLIER data record of its schema type whose begin lies inside the
+  // logged segment bounds; a committed compaction episode (Begin..Commit,
+  // appended contiguously under the store mutex) supersedes the earlier
+  // RTS/IRTS records there only — compaction never rewrites MG blobs. An
+  // episode whose Commit never made it to the log is discarded wholesale.
   struct Supersede {
     int schema_type;
     Timestamp lo, hi;  // hi exclusive.
     size_t cutoff;     // Records before this index are superseded.
+    bool series_only;  // Compaction: RTS/IRTS only.
   };
   std::vector<Supersede> supersedes;
   std::vector<bool> skip(records.size(), false);
@@ -1175,12 +1269,12 @@ Result<RecoveryReport> OdhStore::Recover(storage::SimDisk* crashed_disk) {
       skip[i] = true;
       if (open_begin < i) {
         supersedes.push_back(
-            {rec.schema_type, rec.begin, rec.end, open_begin});
+            {rec.schema_type, rec.begin, rec.end, open_begin, true});
       }
       open_begin = records.size();
     } else if (rec.kind == WalRecord::Kind::kSegmentDrop) {
       skip[i] = true;
-      supersedes.push_back({rec.schema_type, rec.begin, rec.end, i});
+      supersedes.push_back({rec.schema_type, rec.begin, rec.end, i, false});
     }
   }
   if (open_begin < records.size()) {
@@ -1200,6 +1294,10 @@ Result<RecoveryReport> OdhStore::Recover(storage::SimDisk* crashed_disk) {
       if (rec.schema_type != s.schema_type || !IsDataRecord(rec.kind)) {
         continue;
       }
+      if (s.series_only && rec.kind != WalRecord::Kind::kRts &&
+          rec.kind != WalRecord::Kind::kIrts) {
+        continue;
+      }
       if (rec.begin >= s.lo && rec.begin < s.hi) {
         skip[i] = true;
         ++report.records_superseded;
@@ -1207,17 +1305,25 @@ Result<RecoveryReport> OdhStore::Recover(storage::SimDisk* crashed_disk) {
     }
   }
 
-  // MG deletions cancel one matching earlier Put each; collect the
-  // surviving ones (rids are not stable across recovery, so matching is
-  // by content key).
+  // Each surviving MG deletion cancels the earliest surviving EARLIER Put
+  // with its content key (rids are not stable across recovery, so the
+  // match is by content). A deletion whose Put lies below the log head
+  // cancels nothing.
   using MgKey = std::tuple<int, int64_t, Timestamp, Timestamp, int64_t>;
-  std::multiset<MgKey> mg_deletes;
+  std::map<MgKey, std::deque<size_t>> mg_puts;
   for (size_t i = 0; i < records.size(); ++i) {
     if (skip[i]) continue;
     const WalRecord& rec = records[i];
-    if (rec.kind == WalRecord::Kind::kMgDelete) {
-      mg_deletes.insert(
-          {rec.schema_type, rec.id_or_group, rec.begin, rec.end, rec.n});
+    const MgKey key{rec.schema_type, rec.id_or_group, rec.begin, rec.end,
+                    rec.n};
+    if (rec.kind == WalRecord::Kind::kMg) {
+      mg_puts[key].push_back(i);
+    } else if (rec.kind == WalRecord::Kind::kMgDelete) {
+      auto it = mg_puts.find(key);
+      if (it != mg_puts.end() && !it->second.empty()) {
+        skip[it->second.front()] = true;  // Converted by the reorganizer.
+        it->second.pop_front();
+      }
     }
   }
 
@@ -1238,21 +1344,14 @@ Result<RecoveryReport> OdhStore::Recover(storage::SimDisk* crashed_disk) {
                                     rec.zone_map));
         ++report.irts_blobs;
         break;
-      case WalRecord::Kind::kMg: {
-        auto it = mg_deletes.find(
-            {rec.schema_type, rec.id_or_group, rec.begin, rec.end, rec.n});
-        if (it != mg_deletes.end()) {
-          mg_deletes.erase(it);  // Converted by the reorganizer: skip.
-          break;
-        }
+      case WalRecord::Kind::kMg:
         ODH_RETURN_IF_ERROR(PutMg(rec.schema_type, rec.id_or_group,
                                   rec.begin, rec.end, rec.n, rec.blob,
                                   rec.zone_map));
         ++report.mg_blobs;
         break;
-      }
       case WalRecord::Kind::kMgDelete:
-        break;  // Applied via the skip above.
+        break;  // Applied as skips above.
       case WalRecord::Kind::kSegmentCompactBegin:
       case WalRecord::Kind::kSegmentCompactCommit:
       case WalRecord::Kind::kSegmentDrop:

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/metrics.h"
@@ -38,6 +39,9 @@ struct RecoveryReport {
   /// Orphaned query-spill files (odh$spill$*) deleted from the crashed
   /// disk — temp state of in-flight ORDER BY sorts, never replayed.
   uint64_t spill_files_swept = 0;
+  /// LSN replay started at: the crashed log's head (0 when nothing of it
+  /// was ever freed).
+  uint64_t wal_head_lsn = 0;
 };
 
 /// Aggregate statistics per container, maintained on every Put. The cost
@@ -173,6 +177,11 @@ class OdhStore {
   /// relational tables keep their own modeled "<table>.wal" files; this one
   /// is the store-level redo log that Recover() replays.)
   static constexpr char kWalFileName[] = "odh$store.wal";
+  /// Pages per rolled WAL file. The segmented layout rolls its log over
+  /// files of this many pages and frees whole files once retention or
+  /// compaction made every record in them dead (DESIGN.md § WAL
+  /// lifecycle); the unsegmented layout keeps one flat file.
+  static constexpr uint64_t kWalFilePages = 32;
 
   OdhStore(relational::Database* db, ConfigComponent* config)
       : db_(db), config_(config) {}
@@ -367,13 +376,17 @@ class OdhStore {
   /// store's own WAL are all rebuilt. The torn tail (an interrupted Sync)
   /// is detected via per-record CRC32C and dropped.
   ///
-  /// Segment ops replay in two passes: pass one classifies compaction
-  /// episodes (Begin..Commit) and retention drops, pass two replays every
-  /// surviving data record in log order. A committed episode or a drop
-  /// suppresses all earlier data records of its schema type whose begin
-  /// falls inside the logged segment bounds; an episode without a Commit
-  /// is discarded wholesale, so exactly one of {old segment, compacted
-  /// segment} survives any crash point.
+  /// Replay starts at the log's head: everything below it was freed
+  /// because no live segment needed it. Segment ops replay in two passes:
+  /// pass one classifies compaction episodes (Begin..Commit) and retention
+  /// drops, pass two replays every surviving data record in log order. A
+  /// drop suppresses all earlier data records of its schema type whose
+  /// begin falls inside the logged segment bounds; a committed episode
+  /// suppresses the earlier RTS/IRTS records there (compaction never
+  /// rewrites MG blobs, so those stay). An episode without a Commit is
+  /// discarded wholesale, so exactly one of {old segment, compacted
+  /// segment} survives any crash point. A kMgDelete cancels one matching
+  /// earlier kMg record.
   Result<RecoveryReport> Recover(storage::SimDisk* crashed_disk);
 
   /// The store's write-ahead log, nullptr until the first Put. Exposed for
@@ -397,16 +410,29 @@ class OdhStore {
   /// Takes the bootstrap snapshot under the store mutex: the WAL is synced
   /// first (appends are blocked, so durable == appended), then every
   /// segment's RTS/IRTS/MG rows are encoded. An empty store (no WAL yet)
-  /// yields base_lsn 0 and no records.
-  Result<ReplicationSnapshot> SnapshotForReplication();
+  /// yields base_lsn 0 and no records. With `pin`, the log is pinned at
+  /// base_lsn in the same critical section (see PinWal); the caller
+  /// unpins.
+  Result<ReplicationSnapshot> SnapshotForReplication(uint64_t* pin = nullptr);
 
   /// Durable WAL length — the replication LSN watermark. 0 before the
   /// first Put creates the log.
   uint64_t durable_lsn() const;
 
   /// Cursor read over the durable WAL (see Wal::ReadDurable). An empty
-  /// chunk with next_lsn == from_lsn when the log does not exist yet.
+  /// chunk with next_lsn == from_lsn when the log does not exist yet;
+  /// OutOfRange below the log head.
   Result<Wal::TailChunk> ReadWal(uint64_t from_lsn, size_t max_bytes) const;
+
+  /// Pins the WAL at `lsn`, a stream's next position: releases never free
+  /// log bytes at or above the lowest pin, so a replication stream can
+  /// ship from where it stands. OutOfRange when `lsn` is already below the
+  /// head — those records are gone and the subscriber must re-bootstrap.
+  /// Returns the pin's id.
+  Result<uint64_t> PinWal(uint64_t lsn);
+  /// Moves a pin forward as its stream ships.
+  void MoveWalPin(uint64_t pin, uint64_t lsn);
+  void UnpinWal(uint64_t pin);
 
   /// Newest ingested timestamp across every container (kMinTimestamp when
   /// empty) — the primary's data watermark carried in replication
@@ -439,17 +465,20 @@ class OdhStore {
     common::Histogram* sync_hist = nullptr;
     common::Counter* group_commits = nullptr;
     common::Counter* piggybacked = nullptr;
+    common::Counter* released = nullptr;
     if (metrics != nullptr) {
       sync_hist = metrics->GetHistogram("odh.wal.sync_micros");
       group_commits = metrics->GetCounter("odh.wal.group_commits");
       piggybacked = metrics->GetCounter("odh.wal.piggybacked");
+      released = metrics->GetCounter("odh.wal.bytes_released");
     }
     std::lock_guard<std::mutex> lock(mu_);
     wal_sync_hist_ = sync_hist;
     wal_group_commits_ = group_commits;
     wal_piggybacked_ = piggybacked;
+    wal_bytes_released_ = released;
     if (wal_ != nullptr) {
-      wal_->SetInstruments(sync_hist, group_commits, piggybacked);
+      wal_->SetInstruments(sync_hist, group_commits, piggybacked, released);
     }
   }
 
@@ -481,6 +510,10 @@ class OdhStore {
                                 bool is_mg, BlobRecord* rec);
 
  private:
+  static constexpr uint64_t kNoLsn = UINT64_MAX;
+  /// (group, begin, end, n): how WAL records identify an MG blob.
+  using MgKey = std::tuple<int64_t, Timestamp, Timestamp, int64_t>;
+
   struct Segment {
     storage::SegmentManifest manifest;
     relational::Table* rts = nullptr;
@@ -494,6 +527,13 @@ class OdhStore {
     /// manifest generation). Starts at the manifest generation so a
     /// re-created segment's epochs are fresh too.
     int mg_epoch = 0;
+    /// What recovery still needs of this segment's log (the WAL head
+    /// rule): the first RTS/IRTS record since its last committed
+    /// compaction, or that episode's Begin (kNoLsn: none yet), and the
+    /// LSN of every live MG record by content key (a kMgDelete removes
+    /// the lowest of its key, the one recovery cancels).
+    uint64_t series_lsn = kNoLsn;
+    std::multimap<MgKey, uint64_t> mg_lsns;
   };
 
   struct Container {
@@ -544,10 +584,28 @@ class OdhStore {
   }
 
   /// Lazily creates the WAL file and appends one record to it. Called
-  /// before the corresponding heap/index write.
+  /// before the corresponding heap/index write. `lsn` (optional) receives
+  /// the record's log position.
   Status LogPut(WalRecord::Kind kind, int schema_type, int64_t id_or_group,
                 Timestamp begin, Timestamp end, Timestamp interval,
-                int64_t n, const Slice& blob, const Slice& zone_map);
+                int64_t n, const Slice& blob, const Slice& zone_map,
+                uint64_t* lsn = nullptr);
+
+  /// Size of each rolled WAL file on `disk`; 0 (the flat log) in the
+  /// unsegmented layout, where no segment ever drops or compacts.
+  uint64_t WalFileBytes(const storage::SimDisk* disk) const {
+    return config_->options().segment_span == 0
+               ? 0
+               : kWalFilePages * disk->page_size();
+  }
+
+  /// Drops the WAL position of one deleted MG blob; requires mu_.
+  static void ForgetMgLsn(Segment* seg, const MgKey& key);
+
+  /// Frees the log below the lowest position any live segment or pin
+  /// still needs (DESIGN.md § WAL lifecycle). Runs after a retention drop
+  /// or a compaction commit, with the log synced; requires mu_.
+  Status ReleaseWalLocked();
 
   int mg_version_ = 0;  // Suffix for rebuilt MG container tables.
   uint64_t puts_ = 0;    // Put sequence; guarded by mu_.
@@ -587,6 +645,10 @@ class OdhStore {
   common::Histogram* wal_sync_hist_ = nullptr;
   common::Counter* wal_group_commits_ = nullptr;
   common::Counter* wal_piggybacked_ = nullptr;
+  common::Counter* wal_bytes_released_ = nullptr;
+  /// Replication pins on the WAL, id -> LSN; guarded by mu_.
+  std::map<uint64_t, uint64_t> wal_pins_;
+  uint64_t next_pin_ = 1;
   mutable std::atomic<int64_t> blobs_examined_{0};
   mutable std::atomic<int64_t> blobs_discarded_{0};
   mutable std::atomic<int64_t> segments_pruned_{0};

@@ -15,21 +15,22 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 Status ValueBlobCodec::EncodeColumns(
     const std::vector<std::vector<double>>& columns, size_t n,
     std::string* out) const {
-  // Encode each column, then write a directory of section offsets so a
-  // reader can jump straight to the tags it needs.
-  std::vector<std::string> sections(columns.size());
+  // Encode every column back to back into one buffer, then write a
+  // directory of section sizes ahead of them so a reader can jump straight
+  // to the tags it needs.
+  std::string sections;
+  std::vector<uint32_t> sizes(columns.size());
   for (size_t t = 0; t < columns.size(); ++t) {
     if (columns[t].size() != n) {
       return Status::InvalidArgument("column length mismatch");
     }
-    ODH_RETURN_IF_ERROR(
-        EncodeColumn(columns[t].data(), n, spec_, &sections[t]));
+    const size_t before = sections.size();
+    ODH_RETURN_IF_ERROR(EncodeColumn(columns[t].data(), n, spec_, &sections));
+    sizes[t] = static_cast<uint32_t>(sections.size() - before);
   }
   PutVarint32(out, static_cast<uint32_t>(columns.size()));
-  for (const std::string& s : sections) {
-    PutVarint32(out, static_cast<uint32_t>(s.size()));
-  }
-  for (const std::string& s : sections) out->append(s);
+  for (uint32_t size : sizes) PutVarint32(out, size);
+  out->append(sections);
   return Status::OK();
 }
 
@@ -96,16 +97,21 @@ Status ValueBlobCodec::DecodeRts(Slice blob, SourceId id, Timestamp begin,
   if (!GetVarint32(&blob, &n) || !GetVarint64(&blob, &stored_interval)) {
     return Status::Corruption("rts header");
   }
+  // Every tag section holds a presence bit per point, which bounds n
+  // before anything is sized by it.
+  if (num_tags > 0 && n > 8 * blob.size()) {
+    return Status::Corruption("rts point count");
+  }
   if (interval != 0 &&
       static_cast<Timestamp>(stored_interval) != interval) {
     return Status::Corruption("rts interval mismatch");
   }
   batch->id = id;
   batch->timestamps.resize(n);
+  // Unsigned: a corrupt interval wraps instead of overflowing.
   for (uint32_t i = 0; i < n; ++i) {
-    batch->timestamps[i] =
-        begin + static_cast<Timestamp>(i) *
-                    static_cast<Timestamp>(stored_interval);
+    batch->timestamps[i] = static_cast<Timestamp>(
+        static_cast<uint64_t>(begin) + uint64_t{i} * stored_interval);
   }
   ODH_RETURN_IF_ERROR(
       DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns));
@@ -135,6 +141,8 @@ Status ValueBlobCodec::DecodeIrts(Slice blob, SourceId id, Timestamp begin,
                                   int num_tags, SeriesBatch* batch) const {
   uint32_t n;
   if (!GetVarint32(&blob, &n)) return Status::Corruption("irts header");
+  // At least one timestamp byte per point.
+  if (n > blob.size()) return Status::Corruption("irts point count");
   batch->id = id;
   ODH_RETURN_IF_ERROR(DecodeTimestamps(&blob, n, begin, &batch->timestamps));
   ODH_RETURN_IF_ERROR(
@@ -180,13 +188,15 @@ Status ValueBlobCodec::DecodeMg(Slice blob, Timestamp begin,
     const {
   uint32_t n;
   if (!GetVarint32(&blob, &n)) return Status::Corruption("mg header");
+  // At least one id byte per record.
+  if (n > blob.size()) return Status::Corruption("mg record count");
   records->assign(n, OperationalRecord{});
-  int64_t prev_id = 0;
+  uint64_t prev_id = 0;  // Unsigned: corrupt deltas wrap, never overflow.
   for (uint32_t i = 0; i < n; ++i) {
     int64_t delta;
     if (!GetVarintSigned64(&blob, &delta)) return Status::Corruption("mg id");
-    prev_id += delta;
-    (*records)[i].id = prev_id;
+    prev_id += static_cast<uint64_t>(delta);
+    (*records)[i].id = static_cast<SourceId>(prev_id);
   }
   std::vector<Timestamp> ts;
   ODH_RETURN_IF_ERROR(DecodeTimestamps(&blob, n, begin, &ts));

@@ -1,8 +1,10 @@
 #include "core/wal.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -24,6 +26,16 @@ void Backoff(int attempt) {
   auto delay = kBackoffBase * (1 << attempt);
   if (delay > kBackoffCap) delay = kBackoffCap;
   std::this_thread::sleep_for(delay);
+}
+
+Status Truncated(uint64_t lsn, uint64_t head) {
+  return Status::OutOfRange("wal lsn " + std::to_string(lsn) +
+                            " is below the log head " + std::to_string(head) +
+                            ": truncated; re-bootstrap");
+}
+
+std::string HeadMarkerName(const std::string& name, uint64_t lsn) {
+  return name + ".head." + std::to_string(lsn);
 }
 
 }  // namespace
@@ -72,33 +84,71 @@ bool WalRecord::Decode(Slice input, WalRecord* record) {
   return input.empty();
 }
 
-Wal::Wal(storage::SimDisk* disk, storage::FileId file)
+Wal::Wal(storage::SimDisk* disk, std::string name, uint64_t file_bytes,
+         storage::FileId first)
     : disk_(disk),
-      file_(file),
+      name_(std::move(name)),
+      file_bytes_(file_bytes),
       page_size_(disk->page_size()),
+      files_{first},
       tail_page_(std::make_unique<char[]>(disk->page_size())) {}
 
 Result<std::unique_ptr<Wal>> Wal::Create(storage::SimDisk* disk,
-                                         const std::string& name) {
-  ODH_ASSIGN_OR_RETURN(storage::FileId file, disk->CreateFile(name));
-  return std::unique_ptr<Wal>(new Wal(disk, file));
+                                         const std::string& name,
+                                         uint64_t file_bytes) {
+  if (file_bytes % disk->page_size() != 0) {
+    return Status::InvalidArgument("wal file size must be whole pages");
+  }
+  const std::string first = file_bytes == 0 ? name : name + ".0";
+  ODH_ASSIGN_OR_RETURN(storage::FileId file, disk->CreateFile(first));
+  return std::unique_ptr<Wal>(new Wal(disk, name, file_bytes, file));
 }
 
-void Wal::Append(const Slice& payload) {
+std::string Wal::FileName(uint64_t index) const {
+  return file_bytes_ == 0 ? name_ : name_ + "." + std::to_string(index);
+}
+
+Result<storage::FileId> Wal::FileFor(uint64_t lsn) const {
+  const uint64_t index = FileIndexOf(lsn);
+  std::lock_guard<std::mutex> lock(files_mu_);
+  if (index < first_file_ || index - first_file_ >= files_.size()) {
+    return Status::OutOfRange("wal lsn " + std::to_string(lsn) +
+                              " is not in the log");
+  }
+  return files_[index - first_file_];
+}
+
+uint64_t Wal::live_bytes() const {
+  std::lock_guard<std::mutex> lock(files_mu_);
+  return synced_bytes_.load(std::memory_order_acquire) -
+         first_file_ * file_bytes_;
+}
+
+uint64_t Wal::Append(const Slice& payload) {
   ODH_CHECK(!payload.empty());
   // Short critical section: framing into the append queue only. Disk I/O
   // is the leader's job in Sync.
   std::lock_guard<std::mutex> lock(mu_);
+  const uint64_t lsn = appended_lsn_;
+  if (file_bytes_ != 0) {
+    const uint64_t index = FileIndexOf(lsn);
+    if (first_frame_.empty() || first_frame_.rbegin()->first < index) {
+      first_frame_.emplace(index, lsn);
+    }
+  }
   PutFixed32(&pending_, static_cast<uint32_t>(payload.size()));
   PutFixed32(&pending_, storage::Crc32c(payload.data(), payload.size()));
   pending_.append(payload.data(), payload.size());
+  appended_lsn_ += kFrameHeader + payload.size();
   records_appended_.fetch_add(1, std::memory_order_relaxed);
+  return lsn;
 }
 
-Status Wal::WritePageRetry(storage::PageNo page, const char* buf) {
+Status Wal::WritePageRetry(storage::FileId file, storage::PageNo page,
+                           const char* buf) {
   Status status;
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
-    status = disk_->WritePage(file_, page, buf);
+    status = disk_->WritePage(file, page, buf);
     if (!status.IsUnavailable()) return status;
     ++io_retries_;
     Backoff(attempt);
@@ -106,10 +156,10 @@ Status Wal::WritePageRetry(storage::PageNo page, const char* buf) {
   return status;
 }
 
-Result<storage::PageNo> Wal::AllocatePageRetry() {
+Result<storage::PageNo> Wal::AllocatePageRetry(storage::FileId file) {
   Result<storage::PageNo> result = Status::Internal("unreachable");
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
-    result = disk_->AllocatePage(file_);
+    result = disk_->AllocatePage(file);
     if (!result.status().IsUnavailable()) return result;
     ++io_retries_;
     Backoff(attempt);
@@ -136,8 +186,8 @@ Status Wal::Sync() {
 
   // Leader: take the whole queue (our records plus any appended since) and
   // write it with the mutex released, so appenders keep streaming into a
-  // fresh queue. pages_allocated_ and tail_page_ are leader-only state,
-  // handed from leader to leader through mu_.
+  // fresh queue. tail_pages_ and tail_page_ are leader-only state, handed
+  // from leader to leader through mu_.
   sync_active_ = true;
   std::string batch = std::move(pending_);
   pending_.clear();
@@ -150,21 +200,42 @@ Status Wal::Sync() {
   size_t consumed = 0;
   while (consumed < batch.size()) {
     const uint64_t synced = synced_bytes_.load(std::memory_order_relaxed);
-    const uint64_t page_index = synced / page_size_;
-    const size_t offset = synced % page_size_;
-    if (page_index >= pages_allocated_) {
-      Result<storage::PageNo> allocated = AllocatePageRetry();
+    const uint64_t index = FileIndexOf(synced);
+    const uint64_t in_file = synced - index * file_bytes_;
+    const uint64_t page = in_file / page_size_;
+    const size_t offset = in_file % page_size_;
+    storage::FileId file;
+    {
+      std::unique_lock<std::mutex> files_lock(files_mu_);
+      if (index - first_file_ < files_.size()) {
+        file = files_[index - first_file_];
+      } else {
+        // The stream crossed into the next rolled file.
+        files_lock.unlock();
+        Result<storage::FileId> created = disk_->CreateFile(FileName(index));
+        if (!created.ok()) {
+          result = created.status();
+          break;
+        }
+        file = *created;
+        files_lock.lock();
+        files_.push_back(file);
+        tail_pages_ = 0;
+      }
+    }
+    if (page >= tail_pages_) {
+      Result<storage::PageNo> allocated = AllocatePageRetry(file);
       if (!allocated.ok()) {
         result = allocated.status();
         break;
       }
-      ODH_CHECK(*allocated == page_index);
-      ++pages_allocated_;
+      ODH_CHECK(*allocated == page);
+      ++tail_pages_;
       std::memset(tail_page_.get(), 0, page_size_);
     }
     size_t n = std::min(page_size_ - offset, batch.size() - consumed);
     std::memcpy(tail_page_.get() + offset, batch.data() + consumed, n);
-    Status written = WritePageRetry(static_cast<storage::PageNo>(page_index),
+    Status written = WritePageRetry(file, static_cast<storage::PageNo>(page),
                                     tail_page_.get());
     if (!written.ok()) {
       result = written;
@@ -197,6 +268,51 @@ Status Wal::Sync() {
   return result;
 }
 
+Status Wal::ReleaseBelow(uint64_t lsn) {
+  if (file_bytes_ == 0) return Status::OK();  // The flat log only grows.
+  if (lsn > synced_bytes_.load(std::memory_order_acquire)) {
+    return Status::InvalidArgument("wal release past the durable end");
+  }
+  // Whole files go: the new head is the first record of the file holding
+  // `lsn` (`lsn` itself when no earlier record starts in that file).
+  const uint64_t keep = FileIndexOf(lsn);
+  uint64_t head = lsn;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = first_frame_.find(keep);
+    if (it != first_frame_.end()) head = std::min(head, it->second);
+    first_frame_.erase(first_frame_.begin(), first_frame_.lower_bound(keep));
+  }
+  const uint64_t old_head = head_lsn();
+  if (head <= old_head) return Status::OK();
+  // The new head is durable before anything below it goes: recovery reads
+  // from the newest marker, and every file at or above it still exists.
+  ODH_RETURN_IF_ERROR(
+      disk_->CreateFile(HeadMarkerName(name_, head)).status());
+  head_lsn_.store(head, std::memory_order_release);
+  if (old_head > 0) {
+    Status removed = disk_->DeleteFile(HeadMarkerName(name_, old_head));
+    if (!removed.ok() && !removed.IsNotFound()) return removed;
+  }
+  std::vector<uint64_t> dead;
+  {
+    std::lock_guard<std::mutex> lock(files_mu_);
+    while (!files_.empty() && first_file_ < keep) {
+      dead.push_back(first_file_);
+      files_.pop_front();
+      ++first_file_;
+    }
+  }
+  for (uint64_t index : dead) {
+    ODH_RETURN_IF_ERROR(disk_->DeleteFile(FileName(index)));
+    bytes_released_.fetch_add(file_bytes_, std::memory_order_relaxed);
+    if (bytes_released_counter_ != nullptr) {
+      bytes_released_counter_->Add(static_cast<int64_t>(file_bytes_));
+    }
+  }
+  return Status::OK();
+}
+
 Result<Wal::TailChunk> Wal::ReadDurable(uint64_t from_lsn,
                                         size_t max_bytes) const {
   TailChunk out;
@@ -208,25 +324,33 @@ Result<Wal::TailChunk> Wal::ReadDurable(uint64_t from_lsn,
                               " beyond durable log end " +
                               std::to_string(durable));
   }
+  if (from_lsn < head_lsn()) {
+    return Truncated(from_lsn, head_lsn());
+  }
   if (from_lsn == durable) return out;
 
   // Pages are loaded lazily as frames demand them (a blob record may
-  // straddle several); a transient read fault retries with the same
-  // bounded backoff the write path uses.
+  // straddle several pages and files); a transient read fault retries with
+  // the same bounded backoff the write path uses. A file freed under the
+  // read (a release raced past an unpinned cursor) reads as truncation.
   const uint64_t base = (from_lsn / page_size_) * page_size_;
   std::string buf;
   uint64_t loaded_end = base;
   auto ensure = [&](uint64_t upto) -> Status {
     while (loaded_end < upto) {
-      const auto page = static_cast<storage::PageNo>(loaded_end / page_size_);
+      Result<storage::FileId> file = FileFor(loaded_end);
+      if (!file.ok()) return Truncated(from_lsn, head_lsn());
+      const auto page = static_cast<storage::PageNo>(
+          (loaded_end - FileIndexOf(loaded_end) * file_bytes_) / page_size_);
       const size_t off = buf.size();
       buf.resize(off + page_size_);
       Status read;
       for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
-        read = disk_->ReadPage(file_, page, &buf[off]);
+        read = disk_->ReadPage(*file, page, &buf[off]);
         if (!read.IsUnavailable()) break;
         Backoff(attempt);
       }
+      if (read.IsNotFound()) return Truncated(from_lsn, head_lsn());
       ODH_RETURN_IF_ERROR(read);
       loaded_end += page_size_;
     }
@@ -262,17 +386,54 @@ Result<Wal::TailChunk> Wal::ReadDurable(uint64_t from_lsn,
 }
 
 Result<Wal::ReadResult> Wal::ReadLog(storage::SimDisk* disk,
-                                     const std::string& name) {
+                                     const std::string& name,
+                                     uint64_t file_bytes) {
   ReadResult result;
-  Result<storage::FileId> file = disk->OpenFile(name);
-  if (file.status().IsNotFound()) return result;  // Never synced: empty log.
-  ODH_RETURN_IF_ERROR(file.status());
-  ODH_ASSIGN_OR_RETURN(uint32_t pages, disk->PageCount(*file));
-
   const size_t page_size = disk->page_size();
-  std::string log(static_cast<size_t>(pages) * page_size, '\0');
-  for (uint32_t p = 0; p < pages; ++p) {
-    ODH_RETURN_IF_ERROR(disk->ReadPage(*file, p, &log[p * page_size]));
+  // The files holding the log from its head on, in LSN order.
+  std::vector<storage::FileId> files;
+  uint64_t start = 0;  // LSN of the first byte of files[0].
+  if (file_bytes == 0) {
+    Result<storage::FileId> file = disk->OpenFile(name);
+    if (file.status().IsNotFound()) return result;  // Never synced.
+    ODH_RETURN_IF_ERROR(file.status());
+    files.push_back(*file);
+  } else {
+    // The newest head marker wins: a crash between creating it and
+    // deleting its predecessor leaves both.
+    const std::string marker_prefix = name + ".head.";
+    for (const std::string& f : disk->ListFiles()) {
+      if (f.compare(0, marker_prefix.size(), marker_prefix) != 0) continue;
+      const std::string digits = f.substr(marker_prefix.size());
+      if (digits.empty() || digits.size() > 19 ||
+          digits.find_first_not_of("0123456789") != std::string::npos) {
+        continue;  // Not a marker this log wrote.
+      }
+      result.head_lsn = std::max<uint64_t>(result.head_lsn,
+                                           std::stoull(digits));
+    }
+    start = result.head_lsn / file_bytes * file_bytes;
+    for (uint64_t index = result.head_lsn / file_bytes;; ++index) {
+      Result<storage::FileId> file =
+          disk->OpenFile(name + "." + std::to_string(index));
+      if (file.status().IsNotFound()) break;
+      ODH_RETURN_IF_ERROR(file.status());
+      files.push_back(*file);
+    }
+  }
+
+  // Concatenate the pages. Every rolled file but the tail is full; a short
+  // one ends the log (nothing after it can be contiguous).
+  std::string log;
+  for (size_t i = 0; i < files.size(); ++i) {
+    ODH_ASSIGN_OR_RETURN(uint32_t pages, disk->PageCount(files[i]));
+    const size_t off = log.size();
+    log.resize(off + static_cast<size_t>(pages) * page_size);
+    for (uint32_t p = 0; p < pages; ++p) {
+      ODH_RETURN_IF_ERROR(
+          disk->ReadPage(files[i], p, &log[off + p * page_size]));
+    }
+    if (file_bytes != 0 && pages * page_size < file_bytes) break;
   }
 
   // Logical end of the log: the last non-zero byte. Anything between the
@@ -280,7 +441,8 @@ Result<Wal::ReadResult> Wal::ReadLog(storage::SimDisk* disk,
   size_t logical_end = log.size();
   while (logical_end > 0 && log[logical_end - 1] == '\0') --logical_end;
 
-  size_t pos = 0;
+  const size_t first = static_cast<size_t>(result.head_lsn - start);
+  size_t pos = first;
   while (pos + kFrameHeader <= log.size()) {
     uint32_t len = DecodeFixed32(log.data() + pos);
     uint32_t crc = DecodeFixed32(log.data() + pos + 4);
@@ -291,7 +453,7 @@ Result<Wal::ReadResult> Wal::ReadLog(storage::SimDisk* disk,
     result.records.emplace_back(payload, len);
     pos += kFrameHeader + len;
   }
-  result.valid_bytes = pos;
+  result.valid_bytes = pos - first;
   if (logical_end > pos) result.torn_bytes_dropped = logical_end - pos;
   return result;
 }

@@ -47,9 +47,9 @@ ReplicationSource::ReplicationSource(core::OdhStore* store,
 }
 
 Status ReplicationSource::SendSnapshot(Transport* transport,
-                                       uint64_t* resume_lsn) {
+                                       uint64_t* resume_lsn, uint64_t* pin) {
   ODH_ASSIGN_OR_RETURN(core::OdhStore::ReplicationSnapshot snap,
-                       store_->SnapshotForReplication());
+                       store_->SnapshotForReplication(pin));
   const Deadline dl = Deadline::AfterMillisOrInfinite(options_.write_deadline_ms);
   ODH_RETURN_IF_ERROR(transport->SendFrame(
       FrameType::kReplSnapshotBegin,
@@ -93,9 +93,19 @@ Status ReplicationSource::SendSnapshot(Transport* transport,
 
 Status ReplicationSource::Serve(Transport* transport, uint64_t from_lsn,
                                 const std::function<bool()>& cancel) {
+  // The stream pins the primary's WAL at the position it still has to
+  // ship, so a retention or compaction release never frees it.
+  uint64_t pin = 0;
+  struct Unpin {
+    core::OdhStore* store;
+    const uint64_t* pin;
+    ~Unpin() {
+      if (*pin != 0) store->UnpinWal(*pin);
+    }
+  } unpin{store_, &pin};
   uint64_t pos = from_lsn;
   if (pos == 0) {
-    Status snapped = SendSnapshot(transport, &pos);
+    Status snapped = SendSnapshot(transport, &pos, &pin);
     // A subscriber hanging up mid-snapshot is a normal end of stream;
     // anything else (store iteration failure) poisons the serve.
     if (!snapped.ok()) {
@@ -105,6 +115,10 @@ Status ReplicationSource::Serve(Transport* transport, uint64_t from_lsn,
     return Status::OutOfRange(
         "subscribe lsn " + std::to_string(pos) +
         " is beyond this primary's durable log — stale or wrong primary");
+  } else {
+    // Resume: OutOfRange when releases already freed the log at `pos`
+    // (the subscriber must re-bootstrap).
+    ODH_ASSIGN_OR_RETURN(pin, store_->PinWal(pos));
   }
 
   auto last_heartbeat = std::chrono::steady_clock::now() -
@@ -129,6 +143,7 @@ Status ReplicationSource::Serve(Transport* transport, uint64_t from_lsn,
         records_metric_->Add(static_cast<int64_t>(chunk->records.size()));
       }
       pos = chunk->next_lsn;
+      store_->MoveWalPin(pin, pos);
       continue;  // More may be waiting: keep shipping back to back.
     }
     // Caught up. Heartbeat on cadence so the replica can bound staleness

@@ -47,7 +47,9 @@ struct ReplicationSourceOptions {
 /// duplicates and gaps — interleaved with heartbeats carrying the durable
 /// LSN and data watermark whenever there is nothing to ship. Subscribing
 /// at a non-zero LSN skips the snapshot and resumes batches from there
-/// (the reconnect path).
+/// (the reconnect path). A stream pins the WAL at the position it still
+/// has to ship; a subscribe below the log head (records freed while the
+/// subscriber was away) fails with kOutOfRange: re-bootstrap from LSN 0.
 class ReplicationSource {
  public:
   ReplicationSource(core::OdhStore* store,
@@ -75,7 +77,10 @@ class ReplicationSource {
   }
 
  private:
-  Status SendSnapshot(Transport* transport, uint64_t* resume_lsn);
+  /// Sends the bootstrap image; `pin` receives the WAL pin taken at its
+  /// base LSN.
+  Status SendSnapshot(Transport* transport, uint64_t* resume_lsn,
+                      uint64_t* pin);
 
   core::OdhStore* store_;
   ReplicationSourceOptions options_;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -380,6 +382,136 @@ TEST(WalCursorTest, CorruptionBelowWatermarkIsDataLoss) {
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   ASSERT_EQ(good->records.size(), 1u);
   EXPECT_EQ(good->records[0], first);
+}
+
+
+// --- Rolled layout: files, release and the head ------------------------------
+
+constexpr uint64_t kRolledFileBytes = 2 * 512;  // Two 512-byte pages.
+
+/// A rolled log of `count` records of 150-390 bytes (several per file,
+/// some straddling files), synced; `lsns` receives each record's LSN.
+std::unique_ptr<Wal> RolledLog(SimDisk* disk, int count,
+                               std::vector<std::string>* payloads,
+                               std::vector<uint64_t>* lsns) {
+  auto wal = Wal::Create(disk, kWalName, kRolledFileBytes).value();
+  for (int i = 0; i < count; ++i) {
+    payloads->push_back(Payload(i, 150 + 60 * (i % 5)));
+    lsns->push_back(wal->Append(payloads->back()));
+  }
+  ODH_CHECK_OK(wal->Sync());
+  return wal;
+}
+
+TEST(WalTest, RolledLogSpansFilesAndReadsBack) {
+  SimDisk disk(512);
+  std::vector<std::string> payloads;
+  std::vector<uint64_t> lsns;
+  auto wal = RolledLog(&disk, 30, &payloads, &lsns);
+  EXPECT_EQ(lsns[0], 0u);
+  EXPECT_EQ(wal->appended_lsn(), wal->synced_bytes());
+  // File n holds LSNs [n * 1024, (n + 1) * 1024).
+  const uint64_t files = (wal->synced_bytes() + kRolledFileBytes - 1) /
+                         kRolledFileBytes;
+  for (uint64_t n = 0; n < files; ++n) {
+    EXPECT_TRUE(disk.OpenFile(std::string(kWalName) + "." +
+                              std::to_string(n)).ok()) << n;
+  }
+  EXPECT_FALSE(disk.OpenFile(kWalName).ok());  // No flat file.
+
+  auto log = Wal::ReadLog(&disk, kWalName, kRolledFileBytes).value();
+  EXPECT_EQ(log.records, payloads);
+  EXPECT_EQ(log.head_lsn, 0u);
+  EXPECT_EQ(log.valid_bytes, wal->synced_bytes());
+  auto chunk = wal->ReadDurable(lsns[7], 1 << 20).value();
+  EXPECT_EQ(chunk.records,
+            std::vector<std::string>(payloads.begin() + 7, payloads.end()));
+}
+
+TEST(WalTest, ReleaseFreesWholeFilesBelowTheHead) {
+  SimDisk disk(512);
+  std::vector<std::string> payloads;
+  std::vector<uint64_t> lsns;
+  auto wal = RolledLog(&disk, 30, &payloads, &lsns);
+  const uint64_t stored = disk.TotalBytesStored();
+
+  // Release at record 17: the head becomes the first record starting in
+  // the file holding it, and only the files below that one go.
+  const uint64_t file = lsns[17] / kRolledFileBytes;
+  size_t first = 0;
+  while (lsns[first] < file * kRolledFileBytes) ++first;
+  ASSERT_TRUE(wal->ReleaseBelow(lsns[17]).ok());
+  EXPECT_EQ(wal->head_lsn(), lsns[first]);
+  EXPECT_EQ(wal->bytes_released(), file * kRolledFileBytes);
+  EXPECT_EQ(wal->live_bytes(), wal->synced_bytes() - file * kRolledFileBytes);
+  EXPECT_EQ(disk.TotalBytesStored(), stored - file * kRolledFileBytes);
+  for (uint64_t n = 0; n < file; ++n) {
+    EXPECT_FALSE(disk.OpenFile(std::string(kWalName) + "." +
+                               std::to_string(n)).ok()) << n;
+  }
+
+  // Recovery and cursors start at the head; below it is gone.
+  auto log = Wal::ReadLog(&disk, kWalName, kRolledFileBytes).value();
+  EXPECT_EQ(log.head_lsn, lsns[first]);
+  EXPECT_EQ(log.records, std::vector<std::string>(payloads.begin() + first,
+                                                   payloads.end()));
+  EXPECT_EQ(log.valid_bytes, wal->synced_bytes() - lsns[first]);
+  auto below = wal->ReadDurable(lsns[first] - 1, 1 << 20);
+  EXPECT_EQ(below.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(below.status().ToString().find("re-bootstrap"),
+            std::string::npos);
+  auto at = wal->ReadDurable(lsns[first], 1 << 20).value();
+  EXPECT_EQ(at.records.size(), payloads.size() - first);
+
+  // A release that would not move the head is a no-op; appends after a
+  // release keep their absolute LSNs and roll into new files.
+  ASSERT_TRUE(wal->ReleaseBelow(lsns[first]).ok());
+  EXPECT_EQ(wal->head_lsn(), lsns[first]);
+  const uint64_t next = wal->Append(Payload(99, 900));
+  EXPECT_EQ(next, lsns.back() + 8 + payloads.back().size());
+  ASSERT_TRUE(wal->Sync().ok());
+  log = Wal::ReadLog(&disk, kWalName, kRolledFileBytes).value();
+  EXPECT_EQ(log.records.back(), Payload(99, 900));
+}
+
+TEST(WalTest, ReleaseCutShortReadsTheSameLog) {
+  // A crash between the steps of a release leaves the new marker beside
+  // the old one, or the files below the head not yet deleted; the newest
+  // marker decides where the log starts either way.
+  SimDisk disk(512);
+  std::vector<std::string> payloads;
+  std::vector<uint64_t> lsns;
+  auto wal = RolledLog(&disk, 30, &payloads, &lsns);
+  ASSERT_TRUE(wal->ReleaseBelow(lsns[8]).ok());
+  const uint64_t old_head = wal->head_lsn();
+  auto full = disk.CloneDurable();
+  ASSERT_TRUE(wal->ReleaseBelow(lsns[25]).ok());
+  const uint64_t new_head = wal->head_lsn();
+  ASSERT_GT(new_head, old_head);
+  const auto want = Wal::ReadLog(&disk, kWalName, kRolledFileBytes).value();
+
+  // The new marker landed; nothing else did.
+  ODH_CHECK_OK(full->CreateFile(std::string(kWalName) + ".head." +
+                                std::to_string(new_head))
+                   .status());
+  auto log = Wal::ReadLog(full.get(), kWalName, kRolledFileBytes).value();
+  EXPECT_EQ(log.head_lsn, new_head);
+  EXPECT_EQ(log.records, want.records);
+  EXPECT_EQ(want.records.front(),
+            payloads[std::find(lsns.begin(), lsns.end(), new_head) -
+                     lsns.begin()]);
+}
+
+TEST(WalTest, FlatLogIgnoresRelease) {
+  SimDisk disk(512);
+  auto wal = Wal::Create(&disk, kWalName).value();
+  std::vector<uint64_t> lsns;
+  for (int i = 0; i < 20; ++i) lsns.push_back(wal->Append(Payload(i, 300)));
+  ASSERT_TRUE(wal->Sync().ok());
+  ASSERT_TRUE(wal->ReleaseBelow(lsns[15]).ok());
+  EXPECT_EQ(wal->head_lsn(), 0u);
+  EXPECT_EQ(wal->bytes_released(), 0u);
+  EXPECT_EQ(Wal::ReadLog(&disk, kWalName).value().records.size(), 20u);
 }
 
 }  // namespace

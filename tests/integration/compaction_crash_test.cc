@@ -184,5 +184,41 @@ TEST(CompactionCrashTest, CompactedStoreSurvivesReboot) {
   EXPECT_EQ(QueryAllSorted(&recovered), want);
 }
 
+TEST(CompactionCrashTest, CompactionKeepsMgBlobsAcrossRecovery) {
+  // A 1-s source (RTS) beside a 0.1-Hz one (MG) in each 100-s segment.
+  // Compaction rewrites only the series blobs, so a committed episode
+  // must not take the segment's MG blobs with it on replay.
+  OdhSystem victim(Opts());
+  int type = victim.DefineSchemaType("env", {"temperature", "wind"}).value();
+  ODH_CHECK_OK(victim.RegisterSource(1, type, kMicrosPerSecond, true));
+  ODH_CHECK_OK(victim.RegisterSource(2, type, 10 * kMicrosPerSecond, true));
+  for (int i = 0; i < kSeconds; ++i) {
+    const Timestamp ts = static_cast<Timestamp>(i) * kMicrosPerSecond;
+    ODH_CHECK_OK(victim.Ingest(OperationalRecord{1, ts, {20.0 + i, 1.0}}));
+    if (i % 10 == 0) {
+      ODH_CHECK_OK(victim.Ingest(OperationalRecord{2, ts, {5.0 + i, 2.0}}));
+    }
+    if ((i + 1) % 50 == 0) ODH_CHECK_OK(victim.FlushAll());
+  }
+  ODH_CHECK_OK(victim.FlushAll());
+  auto report = victim.CompactSegments(type);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->segments_compacted, 3);
+  const std::vector<std::string> want = QueryAllSorted(&victim);
+  ASSERT_EQ(want.size(), 440u);
+
+  std::unique_ptr<SimDisk> rebooted =
+      victim.database()->disk()->CloneDurable();
+  OdhSystem recovered(Opts());
+  int rtype = recovered.DefineSchemaType("env", {"temperature", "wind"}).value();
+  ODH_CHECK_OK(recovered.RegisterSource(1, rtype, kMicrosPerSecond, true));
+  ODH_CHECK_OK(
+      recovered.RegisterSource(2, rtype, 10 * kMicrosPerSecond, true));
+  auto rec = recovered.Recover(rebooted.get());
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_GT(rec->records_superseded, 0u);
+  EXPECT_EQ(QueryAllSorted(&recovered), want);
+}
+
 }  // namespace
 }  // namespace odh::core

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <string>
 
+#include "common/random.h"
+
 namespace odh::storage {
 namespace {
 
@@ -49,6 +51,29 @@ TEST(Crc32cTest, UnalignedStarts) {
     uint32_t extended = ExtendCrc32c(0, data.data() + off, data.size() - off);
     EXPECT_EQ(direct, extended);
   }
+}
+
+TEST(Crc32cTest, DispatchedKernelMatchesPortableOracle) {
+  // Whatever kernel the CPU selected must agree with the slicing-by-8
+  // reference on every length 0-9000, every start misalignment and every
+  // chaining split.
+  Random rng(32);
+  std::string buf(9000 + 16, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Next());
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = trial < 64 ? static_cast<size_t>(trial)
+                                  : static_cast<size_t>(rng.Uniform(9001));
+    const size_t off = rng.Uniform(16);
+    const char* p = buf.data() + off;
+    const uint32_t seed = trial % 3 == 0 ? 0 : static_cast<uint32_t>(rng.Next());
+    const uint32_t want = ExtendCrc32cPortable(seed, p, len);
+    ASSERT_EQ(ExtendCrc32c(seed, p, len), want) << len << "@" << off;
+    const size_t split = len == 0 ? 0 : rng.Uniform(len + 1);
+    const uint32_t head = ExtendCrc32c(seed, p, split);
+    ASSERT_EQ(ExtendCrc32c(head, p + split, len - split), want)
+        << len << "@" << off << " split " << split;
+  }
+  EXPECT_EQ(ExtendCrc32cPortable(0, "123456789", 9), 0xE3069283u);
 }
 
 TEST(IsZeroFilledTest, Basics) {

@@ -155,9 +155,9 @@ void RunFaultModeSection(core::OdhSystem* odh, JsonWriter* json, bool smoke) {
   server_off.read_deadline_ms = 0;
   server_off.write_deadline_ms = 0;
   net::ClientOptions client_off;
-  client_off.connect_timeout_ms = 0;
-  client_off.rpc_deadline_ms = 0;
-  client_off.auto_retry = false;
+  client_off.retry.connect_timeout_ms = 0;
+  client_off.retry.rpc_deadline_ms = 0;
+  client_off.retry.idempotency = net::IdempotencyClass::kNone;
 
   net::FaultPolicy quiet(/*seed=*/1);  // Consulted every op; never fires.
   net::ServerOptions server_armed;     // Default deadlines.

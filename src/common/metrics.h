@@ -96,7 +96,7 @@ struct ScanCounters {
   std::atomic<int64_t> blob_bytes_read{0};
   std::atomic<int64_t> segments_pruned{0};
   /// Distinct (structure, segment) scan units handed to pool workers by the
-  /// segment-parallel driver; 0 on a serial scan.
+  /// segment-parallel driver; 0 when the units ran inline.
   std::atomic<int64_t> segments_scanned_parallel{0};
   /// Blobs served from the decoded-blob cache instead of decoding. Disjoint
   /// from blobs_decoded: every candidate blob lands in exactly one of

@@ -77,8 +77,10 @@ struct OdhOptions {
   /// these by hash, so concurrent ingestion threads rarely contend. One
   /// shard reproduces the single-threaded writer exactly.
   int writer_shards = 8;
-  /// Worker threads for parallel blob decoding on the read path. Values
-  /// below 2 keep scans fully sequential (no thread pool is created).
+  /// Worker threads of the shared pool that parallel scans, aggregates and
+  /// compaction run on. Values below 2 create no pool unless
+  /// query_parallelism asks for one; the scan fan-out itself is capped by
+  /// query_parallelism.
   int read_parallelism = 0;
   /// Columnar batch execution: virtual-table scans emit one tag-major
   /// batch per decoded ValueBlob and filters run as vectorized kernels
@@ -107,8 +109,8 @@ struct OdhOptions {
   /// Worker cap for segment-parallel query execution: multi-segment scans
   /// and aggregate pushdowns fan one task per surviving (post-prune)
   /// segment run across the shared thread pool, merged back in emission
-  /// order. -1 (the default) uses the pool size; 0 or 1 keeps every scan
-  /// on the serial path. The pool itself is created when
+  /// order. -1 (the default) uses the pool size; 0 or 1 runs every scan's
+  /// units inline on the cursor thread. The pool itself is created when
   /// max(read_parallelism, query_parallelism) > 1.
   int query_parallelism = -1;
   /// Capacity in bytes of the shared decoded-blob cache (LRU, keyed by

@@ -17,19 +17,15 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-using BlobKind = BlobStructure;
+using common::ScanCounters;
 
-struct QueuedBlob {
-  BlobKind kind;
-  BlobRecord record;
-};
-
-/// Blobs per parallel scan unit: small enough that several units per
-/// segment keep the merge frontier close behind the workers, large enough
-/// to amortize the submit/notify overhead.
+/// Blobs per scan unit: small enough that several units per segment keep
+/// the merge frontier close behind the pool workers, large enough to
+/// amortize the submit/notify overhead.
 constexpr size_t kUnitMaxBlobs = 8;
-/// Decoded batches a unit buffers ahead of the merge frontier before its
-/// worker parks (bounded ordered merge: memory stays O(units * buffer)).
+/// Decoded batches a dispatched unit buffers ahead of the merge frontier
+/// before its worker parks (bounded ordered merge: memory stays
+/// O(units * buffer)).
 constexpr size_t kUnitBufferBatches = 8;
 
 uint64_t PackRid(const relational::Rid& rid) {
@@ -64,33 +60,34 @@ size_t BatchBytes(const RecordBatch& b) {
   return bytes;
 }
 
-/// Copies the [lo, hi] (and, when `id_filter` >= 0 and the batch carries
-/// per-row ids, matching-id) rows of a cached untrimmed decode into *out —
-/// exactly the rows the serial decode-and-trim path would have produced,
-/// in the same order, from the same decoded doubles.
+/// True when row `i` of `b` lies outside [lo, hi] or, when `id_filter` >= 0
+/// and the batch carries per-row ids (MG), belongs to another source.
+bool TrimmedAway(const RecordBatch& b, size_t i, Timestamp lo, Timestamp hi,
+                 SourceId id_filter) {
+  return b.timestamps[i] < lo || b.timestamps[i] > hi ||
+         (id_filter >= 0 && !b.ids.empty() && b.ids[i] != id_filter);
+}
+
+/// Copies the rows of a cached untrimmed decode that TrimInPlace would
+/// keep into *out, in the same order, from the same decoded doubles.
 void TrimBatch(const RecordBatch& src, Timestamp lo, Timestamp hi,
                SourceId id_filter, RecordBatch* out) {
   out->uniform_id = src.uniform_id;
   const size_t n = src.rows();
-  const bool has_ids = !src.ids.empty();
-  bool all = true;
   std::vector<uint32_t> sel;
   sel.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (src.timestamps[i] < lo || src.timestamps[i] > hi ||
-        (has_ids && id_filter >= 0 && src.ids[i] != id_filter)) {
-      all = false;
-      continue;
+    if (!TrimmedAway(src, i, lo, hi, id_filter)) {
+      sel.push_back(static_cast<uint32_t>(i));
     }
-    sel.push_back(static_cast<uint32_t>(i));
   }
-  if (all) {
+  if (sel.size() == n) {
     out->ids = src.ids;
     out->timestamps = src.timestamps;
     out->columns = src.columns;
     return;
   }
-  if (has_ids) {
+  if (!src.ids.empty()) {
     out->ids.reserve(sel.size());
     for (uint32_t i : sel) out->ids.push_back(src.ids[i]);
   }
@@ -102,6 +99,32 @@ void TrimBatch(const RecordBatch& src, Timestamp lo, Timestamp hi,
     if (col.empty()) continue;  // Stays empty (reads as all-missing).
     out->columns[c].reserve(sel.size());
     for (uint32_t i : sel) out->columns[c].push_back(col[i]);
+  }
+}
+
+/// Trims a freshly decoded batch to [lo, hi] (and `id_filter`) in place.
+/// When nothing is dropped (an interior blob, the common case) the loop
+/// writes nothing: the zero-copy path of an uncached scan.
+void TrimInPlace(Timestamp lo, Timestamp hi, SourceId id_filter,
+                 RecordBatch* b) {
+  const size_t n = b->rows();
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (TrimmedAway(*b, i, lo, hi, id_filter)) continue;
+    if (kept != i) {
+      b->timestamps[kept] = b->timestamps[i];
+      if (!b->ids.empty()) b->ids[kept] = b->ids[i];
+      for (auto& col : b->columns) {
+        if (!col.empty()) col[kept] = col[i];
+      }
+    }
+    ++kept;
+  }
+  if (kept == n) return;
+  b->timestamps.resize(kept);
+  if (!b->ids.empty()) b->ids.resize(kept);
+  for (auto& col : b->columns) {
+    if (!col.empty()) col.resize(kept);
   }
 }
 
@@ -124,132 +147,261 @@ void ColumnarizeInto(const std::vector<OperationalRecord>& records,
   }
 }
 
+/// Adds `n` to a reader-global counter and, on a profiled query, to its
+/// per-query twin.
+void Bump(std::atomic<int64_t>* global, ScanCounters* counters,
+          std::atomic<int64_t> ScanCounters::*field, int64_t n = 1) {
+  if (n == 0) return;
+  global->fetch_add(n, std::memory_order_relaxed);
+  if (counters != nullptr) {
+    (counters->*field).fetch_add(n, std::memory_order_relaxed);
+  }
+}
+
 }  // namespace
 
+using BlobKind = BlobStructure;
+
+struct QueuedBlob {
+  BlobKind kind;
+  BlobRecord record;
+};
+
+/// Handover state of a unit dispatched to the pool: its worker pushes
+/// batches, the consumer pops them in order. Guarded by `mu`.
+struct UnitHandover {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::deque<RecordBatch> ready;
+  std::deque<Status> ready_status;
+  bool done = false;       // Worker finished (or was finalized).
+  bool parked = false;     // Worker returned; consumer must resubmit.
+  bool abandoned = false;  // Cursor destroyed mid-scan; stop producing.
+};
+
+/// One unit of a scan or aggregate: up to kUnitMaxBlobs listed blobs of
+/// one (structure, segment), or one slice segment streamed through a
+/// pinned SliceCursor. A unit is driven by one thread at a time — the
+/// consumer when it runs inline, a pool worker when dispatched.
+struct ScanUnit {
+  /// Moves the unit's next blob into *out; false once it is exhausted. A
+  /// slice unit refills `blobs` one store chunk at a time (no pruning
+  /// stats: SliceSegments already counted this scan's).
+  Result<bool> NextBlob(OdhStore* store, int schema_type, Timestamp lo,
+                        Timestamp hi, QueuedBlob* out) {
+    while (next_blob == blobs.size()) {
+      if (!is_slice || slice_done) return false;
+      std::vector<BlobRecord> chunk;
+      ODH_RETURN_IF_ERROR(store->NextSliceChunk(schema_type, slice_irts, lo,
+                                                hi, &slice_cursor, &chunk,
+                                                &slice_done));
+      blobs.clear();
+      next_blob = 0;
+      for (auto& rec : chunk) {
+        blobs.push_back(
+            {slice_irts ? BlobKind::kIrts : BlobKind::kRts, std::move(rec)});
+      }
+    }
+    *out = std::move(blobs[next_blob++]);
+    return true;
+  }
+
+  bool is_slice = false;
+  bool slice_irts = false;
+  bool slice_done = false;
+  OdhStore::SliceCursor slice_cursor;
+  std::vector<QueuedBlob> blobs;
+  size_t next_blob = 0;
+  /// Allocated only when the scan dispatches its units to the pool.
+  std::unique_ptr<UnitHandover> handover;
+};
+
+/// The units of one scan or aggregate in emission order, the number of
+/// (structure, segment) groups they cover, and the unflushed rows that
+/// follow them.
+struct ScanPlan {
+  std::vector<ScanUnit> units;
+  size_t groups = 0;
+  std::vector<OperationalRecord> dirty;
+};
+
+namespace {
+
+/// Appends listed blobs as units split along segment boundaries, at most
+/// kUnitMaxBlobs each, in listing order.
+void AddListedUnits(BlobKind kind, std::vector<BlobRecord> recs,
+                    ScanPlan* plan) {
+  size_t i = 0;
+  while (i < recs.size()) {
+    const int64_t seg = recs[i].seg;
+    size_t j = i;
+    while (j < recs.size() && recs[j].seg == seg) ++j;
+    ++plan->groups;
+    for (size_t k = i; k < j; k += kUnitMaxBlobs) {
+      ScanUnit& unit = plan->units.emplace_back();
+      for (size_t b = k; b < std::min(j, k + kUnitMaxBlobs); ++b) {
+        unit.blobs.push_back({kind, std::move(recs[b])});
+      }
+    }
+    i = j;
+  }
+}
+
+/// One pinned-cursor unit per listed slice segment, in key order.
+void AddSliceUnits(bool irts, const std::vector<int64_t>& keys,
+                   ScanPlan* plan) {
+  plan->groups += keys.size();
+  for (int64_t key : keys) {
+    ScanUnit& unit = plan->units.emplace_back();
+    unit.is_slice = true;
+    unit.slice_irts = irts;
+    unit.slice_cursor.seg = key;
+    unit.slice_cursor.pin = true;
+  }
+}
+
+}  // namespace
+
+/// The one blob decode of the read path, shared by scans and aggregates:
+/// the untrimmed decode of a blob for one tag set, served from and filled
+/// into the decoded-blob cache when the tag set is cacheable, so scans and
+/// aggregates with the same projection share entries. Thread-safe (the
+/// codec is stateless, the counters atomic, the cache locked), so pool
+/// workers share one decoder.
+class BlobDecoder {
+ public:
+  BlobDecoder(OdhReader* reader, int schema_type, const CompressionSpec& spec,
+              std::vector<int> tags, int num_tags, ScanCounters* counters)
+      : reader_(reader),
+        schema_type_(schema_type),
+        codec_(spec),
+        tags_(std::move(tags)),
+        num_tags_(num_tags),
+        counters_(counters) {
+    cacheable_ = reader->cache_ != nullptr && TagMaskOf(tags_, &tag_mask_);
+  }
+
+  /// Decodes `blob` whole — no time trim, no id filter: series batches
+  /// with every column full-length, MG batches columnarized with per-row
+  /// ids. When cacheable, *cached holds the shared result (a hit, or the
+  /// fresh decode just inserted); otherwise *cached stays null and the
+  /// result lands in *owned.
+  Status Decode(const QueuedBlob& blob,
+                std::shared_ptr<const RecordBatch>* cached,
+                RecordBatch* owned) const {
+    const BlobRecord& rec = blob.record;
+    BlobCacheKey key;
+    if (cacheable_) {
+      key.schema_type = schema_type_;
+      key.structure = blob.kind;
+      key.seg = rec.seg;
+      key.generation = rec.generation;
+      key.rid = PackRid(rec.rid);
+      key.tag_mask = tag_mask_;
+      *cached = reader_->cache_->Lookup(key);
+      if (*cached != nullptr) {
+        Bump(&reader_->blob_cache_hits_, counters_,
+             &ScanCounters::blob_cache_hits);
+        return Status::OK();
+      }
+    }
+    Bump(&reader_->blobs_decoded_, counters_, &ScanCounters::blobs_decoded);
+    Bump(&reader_->blob_bytes_read_, counters_,
+         &ScanCounters::blob_bytes_read, static_cast<int64_t>(rec.blob.size()));
+    if (!cacheable_) return DecodeUntrimmed(blob, owned);
+    auto full = std::make_shared<RecordBatch>();
+    ODH_RETURN_IF_ERROR(DecodeUntrimmed(blob, full.get()));
+    const size_t bytes = BatchBytes(*full);
+    *cached = full;
+    reader_->cache_->Insert(key, std::move(full), bytes);
+    return Status::OK();
+  }
+
+ private:
+  Status DecodeUntrimmed(const QueuedBlob& blob, RecordBatch* batch) const {
+    const BlobRecord& rec = blob.record;
+    if (blob.kind == BlobKind::kMg) {
+      std::vector<OperationalRecord> records;
+      ODH_RETURN_IF_ERROR(codec_.DecodeMg(Slice(rec.blob), rec.begin, tags_,
+                                          num_tags_, &records));
+      ColumnarizeInto(records, num_tags_, batch);
+      return Status::OK();
+    }
+    SeriesBatch series;
+    if (blob.kind == BlobKind::kRts) {
+      ODH_RETURN_IF_ERROR(codec_.DecodeRts(Slice(rec.blob), rec.id,
+                                           rec.begin, rec.interval, tags_,
+                                           num_tags_, &series));
+    } else {
+      ODH_RETURN_IF_ERROR(codec_.DecodeIrts(Slice(rec.blob), rec.id,
+                                            rec.begin, tags_, num_tags_,
+                                            &series));
+    }
+    batch->uniform_id = series.id;
+    batch->timestamps = std::move(series.timestamps);
+    batch->columns = std::move(series.columns);
+    batch->columns.resize(static_cast<size_t>(num_tags_));
+    return Status::OK();
+  }
+
+  OdhReader* reader_;
+  int schema_type_;
+  ValueBlobCodec codec_;
+  std::vector<int> tags_;
+  int num_tags_;
+  ScanCounters* counters_;
+  bool cacheable_ = false;
+  uint64_t tag_mask_ = 0;
+};
+
 /// Implementation shared by historical and slice scans, row and batch
-/// flavors. Historical scans queue the (bounded, per-source) blob lists up
-/// front; slice scans pull the series containers one segment chunk at a
-/// time through OdhStore::NextSliceChunk (so no table iterator outlives
-/// the store mutex) and use the (begin_ts, group) index for MG. Every blob
-/// decodes into one columnar RecordBatch — the batch cursor hands those
-/// out directly, the row cursor drains them one record at a time.
+/// flavors. Init plans the scan's units (OdhReader::PlanScan): historical
+/// listings split by (structure, segment), queued MG blobs, and one pinned
+/// SliceCursor unit per slice segment. Every blob decodes into one
+/// columnar RecordBatch — the batch cursor hands those out directly, the
+/// row cursor drains them one record at a time — and the unflushed rows
+/// follow the last unit.
 ///
-/// With a thread pool, the queued blobs are decoded in parallel right
-/// after Init (each pool task decodes into its own slot, so emission order
-/// is still queue order — byte-identical to the sequential scan); the
-/// streaming side of slice scans remains sequential. The codec is
-/// stateless, so one instance serves all decode tasks.
-///
-/// With a pool AND query_parallelism >= 2, multi-segment scans instead run
-/// the segment-parallel driver: the candidate blobs split into scan units
-/// along (structure, segment) boundaries, slice scans get one pinned
-/// SliceCursor unit per surviving segment, and a bounded window of units
-/// decodes on the pool while the cursor thread merges their batches back
-/// in unit order — the exact sequence (including zero-row pruned batches)
-/// the serial scan emits. Workers never block: a unit whose ready buffer
-/// is full parks (returns its pool thread) and the consumer resubmits it
-/// after draining. The decoded-blob cache, when configured, serves both
-/// paths.
+/// One driver runs the units in unit order. With a parallelism cap of 1
+/// (no pool, or query_parallelism 0/1) or a single unit, the consumer
+/// thread runs them inline, decoding one blob per batch it hands out.
+/// Otherwise a bounded window of units decodes on the pool while the
+/// cursor thread merges their batches back in unit order — the exact
+/// sequence (including zero-row pruned batches) the inline driver emits.
+/// Workers never block: a unit whose ready buffer is full parks (returns
+/// its pool thread) and the consumer resubmits it after draining.
 class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
  public:
   OdhScanCursorImpl(OdhReader* reader, int schema_type, SourceId id,
                     Timestamp lo, Timestamp hi, std::vector<int> wanted_tags,
                     std::vector<TagFilter> tag_filters, int num_tags,
-                    CompressionSpec spec, common::ScanCounters* counters,
+                    const CompressionSpec& spec, ScanCounters* counters,
                     bool count_pruning)
       : reader_(reader),
         schema_type_(schema_type),
         id_(id),
         lo_(lo),
         hi_(hi),
-        wanted_tags_(std::move(wanted_tags)),
         tag_filters_(std::move(tag_filters)),
         num_tags_(num_tags),
-        codec_(spec),
+        decoder_(reader, schema_type, spec, std::move(wanted_tags), num_tags,
+                 counters),
         counters_(counters),
-        count_pruning_(count_pruning) {
-    cache_usable_ = TagMaskOf(wanted_tags_, &tag_mask_);
-  }
+        count_pruning_(count_pruning) {}
 
-  ~OdhScanCursorImpl() { AbandonParallel(); }
+  ~OdhScanCursorImpl() { AbandonDispatch(); }
 
   Status Init(const RouteDecision& route) {
-    return id_ >= 0 ? InitHistorical(route) : InitSlice(route);
-  }
-
-  Status InitHistorical(const RouteDecision& route) {
     SegmentScanStats seg_stats;
-    ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
-                         reader_->ListConsistent(schema_type_, id_, route,
-                                                 lo_, hi_, &seg_stats,
-                                                 &dirty_));
-    for (auto& b : listing.rts) {
-      queued_.push_back({BlobKind::kRts, std::move(b)});
+    ODH_RETURN_IF_ERROR(reader_->PlanScan(schema_type_, id_, route, lo_, hi_,
+                                          &seg_stats, &plan_));
+    if (count_pruning_) {
+      Bump(&reader_->segments_pruned_, counters_,
+           &ScanCounters::segments_pruned, seg_stats.segments_pruned);
     }
-    for (auto& b : listing.irts) {
-      queued_.push_back({BlobKind::kIrts, std::move(b)});
-    }
-    for (auto& b : listing.mg) {
-      queued_.push_back({BlobKind::kMg, std::move(b)});
-    }
-    CountSegmentsPruned(seg_stats);
-    if (reader_->EffectiveParallelism() >= 2 && queued_.size() >= 2) {
-      const size_t groups = BuildUnitsFromQueued();
-      if (units_.size() >= 2) {
-        StartParallel(groups);
-      } else {
-        // One unit cannot beat the serial predecode; restore the queue.
-        for (auto& u : units_) {
-          for (auto& b : u->blobs) queued_.push_back(std::move(b));
-        }
-        units_.clear();
-      }
-    }
-    if (!parallel_) PredecodeQueued();
+    const int window = reader_->EffectiveParallelism();
+    if (window >= 2 && plan_.units.size() >= 2) StartDispatch(window);
     return Status::OK();
-  }
-
-  Status InitSlice(const RouteDecision& route) {
-    if (route.scan_mg) {
-      SegmentScanStats seg_stats;
-      ODH_ASSIGN_OR_RETURN(auto blobs,
-                           reader_->store_->GetMg(schema_type_, -1, lo_,
-                                                  hi_, &seg_stats));
-      CountSegmentsPruned(seg_stats);
-      for (auto& b : blobs) {
-        queued_.push_back({BlobKind::kMg, std::move(b)});
-      }
-    }
-    if (reader_->EffectiveParallelism() >= 2) {
-      // Commit to the unit driver before listing segments: SliceSegments
-      // counts segment pruning, so a post-listing fallback to the
-      // streaming path would double-count it.
-      size_t groups = BuildUnitsFromQueued();
-      SegmentScanStats seg_stats;
-      if (route.scan_rts) {
-        ODH_ASSIGN_OR_RETURN(auto keys,
-                             reader_->store_->SliceSegments(
-                                 schema_type_, /*irts=*/false, lo_, hi_,
-                                 &seg_stats));
-        groups += keys.size();
-        AddSliceUnits(/*irts=*/false, keys);
-      }
-      if (route.scan_irts) {
-        ODH_ASSIGN_OR_RETURN(auto keys,
-                             reader_->store_->SliceSegments(
-                                 schema_type_, /*irts=*/true, lo_, hi_,
-                                 &seg_stats));
-        groups += keys.size();
-        AddSliceUnits(/*irts=*/true, keys);
-      }
-      CountSegmentsPruned(seg_stats);
-      StartParallel(groups);
-    } else {
-      rts_stream_.active = route.scan_rts;
-      irts_stream_.active = route.scan_irts;
-      PredecodeQueued();
-    }
-    return CollectDirty();
   }
 
   /// Row-at-a-time view: drains the current batch record by record.
@@ -301,109 +453,54 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   }
 
  private:
-  Status CollectDirty() {
-    return reader_->writer_->CollectDirty(schema_type_, id_, lo_, hi_,
-                                          &dirty_);
-  }
-
-  /// Refills *batch from the next source of blobs: pre-decoded slots first
-  /// (same order the blobs were queued in), then lazy decode, then the
-  /// streaming scans, then the dirty buffers. False at end of stream.
+  /// Refills *batch: the units' batches in unit order, then the dirty
+  /// rows. False at end of stream.
   Result<bool> ProduceBatch(RecordBatch* batch) {
     batch->clear();
-    if (parallel_) {
-      ODH_ASSIGN_OR_RETURN(bool got, NextParallelBatch(batch));
-      if (got) return true;
-      if (!dirty_.empty()) {
-        ColumnarizeRecords(dirty_, batch);
-        dirty_.clear();
-        return true;
-      }
-      return false;
-    }
-    if (!decoded_.empty()) {
-      ODH_RETURN_IF_ERROR(decoded_statuses_.front());
-      *batch = std::move(decoded_.front());
-      decoded_.pop_front();
-      decoded_statuses_.pop_front();
-      return true;
-    }
-    if (!queued_.empty()) {
-      QueuedBlob blob = std::move(queued_.front());
-      queued_.pop_front();
-      ODH_RETURN_IF_ERROR(DecodeBlobToBatch(blob, batch));
-      return true;
-    }
-    ODH_ASSIGN_OR_RETURN(bool streamed, RefillFromStreams(batch));
-    if (streamed) return true;
-    if (!dirty_.empty()) {
-      ColumnarizeRecords(dirty_, batch);
-      dirty_.clear();
-      return true;
+    ODH_ASSIGN_OR_RETURN(bool got, dispatch_ != nullptr
+                                       ? NextDispatchedBatch(batch)
+                                       : NextInlineBatch(batch));
+    if (got) return true;
+    if (plan_.dirty.empty()) return false;
+    ColumnarizeInto(plan_.dirty, num_tags_, batch);
+    plan_.dirty.clear();
+    return true;
+  }
+
+  /// Inline driver: the consumer runs the units itself, in order.
+  Result<bool> NextInlineBatch(RecordBatch* batch) {
+    while (current_unit_ < plan_.units.size()) {
+      ODH_ASSIGN_OR_RETURN(bool more,
+                           NextUnitBatch(&plan_.units[current_unit_], batch));
+      if (more) return true;
+      ++current_unit_;
     }
     return false;
   }
 
-  /// Fans the queued blobs out to the reader's pool, one result slot per
-  /// blob. Decode errors are parked in decoded_statuses_ and surface from
-  /// Next at the position the sequential scan would have hit them.
-  void PredecodeQueued() {
-    common::ThreadPool* pool = reader_->pool_;
-    if (pool == nullptr || pool->num_threads() < 2 || queued_.size() < 2) {
-      return;
+  /// The unit's next batch, false once it is exhausted: one blob, pruned
+  /// by its zone map (zero rows) or decoded and trimmed to [lo_, hi_]
+  /// (and, for MG, to id_). Runs on the consumer or a pool worker; touches
+  /// only the unit, immutable cursor state and the thread-safe decoder.
+  Result<bool> NextUnitBatch(ScanUnit* u, RecordBatch* batch) {
+    QueuedBlob blob;
+    ODH_ASSIGN_OR_RETURN(bool got, u->NextBlob(reader_->store_, schema_type_,
+                                               lo_, hi_, &blob));
+    if (!got) return false;
+    if (Prunable(blob.record)) {
+      Bump(&reader_->blobs_pruned_, counters_, &ScanCounters::blobs_pruned);
+      return true;
     }
-    const size_t n = queued_.size();
-    std::vector<QueuedBlob> blobs(std::make_move_iterator(queued_.begin()),
-                                  std::make_move_iterator(queued_.end()));
-    queued_.clear();
-    decoded_.resize(n);
-    decoded_statuses_.resize(n);
-    pool->ParallelFor(static_cast<int64_t>(n), [&](int64_t i) {
-      decoded_statuses_[static_cast<size_t>(i)] =
-          DecodeBlobToBatch(blobs[static_cast<size_t>(i)],
-                            &decoded_[static_cast<size_t>(i)]);
-    });
-  }
-
-  /// Folds a store segment-elimination count into the reader-global and
-  /// per-query counters.
-  void CountSegmentsPruned(const SegmentScanStats& seg_stats) {
-    if (!count_pruning_ || seg_stats.segments_pruned == 0) return;
-    reader_->segments_pruned_.fetch_add(seg_stats.segments_pruned,
-                                        std::memory_order_relaxed);
-    if (counters_ != nullptr) {
-      counters_->segments_pruned.fetch_add(seg_stats.segments_pruned,
-                                           std::memory_order_relaxed);
+    std::shared_ptr<const RecordBatch> cached;
+    ODH_RETURN_IF_ERROR(decoder_.Decode(blob, &cached, batch));
+    // MG blobs mix sources, so the id constraint applies to them only.
+    const SourceId id_filter = blob.kind == BlobKind::kMg ? id_ : -1;
+    if (cached != nullptr) {
+      TrimBatch(*cached, lo_, hi_, id_filter, batch);
+    } else {
+      TrimInPlace(lo_, hi_, id_filter, batch);
     }
-  }
-
-  /// Pulls the next overlapping blob from the chunked slice scans: RTS
-  /// first, then IRTS, each advancing one segment at a time through the
-  /// store (the chunk is materialized under the store mutex, so a
-  /// concurrent retention drop can never invalidate this cursor).
-  Result<bool> RefillFromStreams(RecordBatch* batch) {
-    for (auto* stream : {&rts_stream_, &irts_stream_}) {
-      const bool is_irts = stream == &irts_stream_;
-      if (!stream->active) continue;
-      while (true) {
-        if (!stream->buffered.empty()) {
-          QueuedBlob blob{is_irts ? BlobKind::kIrts : BlobKind::kRts,
-                          std::move(stream->buffered.front())};
-          stream->buffered.pop_front();
-          ODH_RETURN_IF_ERROR(DecodeBlobToBatch(blob, batch));
-          return true;
-        }
-        if (stream->done) break;
-        SegmentScanStats seg_stats;
-        std::vector<BlobRecord> chunk;
-        ODH_RETURN_IF_ERROR(reader_->store_->NextSliceChunk(
-            schema_type_, is_irts, lo_, hi_, &stream->cursor, &chunk,
-            &stream->done, &seg_stats));
-        CountSegmentsPruned(seg_stats);
-        for (auto& rec : chunk) stream->buffered.push_back(std::move(rec));
-      }
-    }
-    return false;
+    return true;
   }
 
   /// Zone-map pruning: skip the blob when its per-tag ranges cannot
@@ -415,234 +512,46 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
     return !map->MayMatch(tag_filters_);
   }
 
-  /// Decodes one blob into a columnar batch, trimmed to [lo_, hi_]. Pruned
-  /// blobs leave *batch empty. Called from pool tasks as well as the
-  /// cursor thread; touches only immutable cursor state, the reader's
-  /// atomic counters, and the (thread-safe) blob cache.
-  Status DecodeBlobToBatch(const QueuedBlob& blob, RecordBatch* batch) {
-    if (Prunable(blob.record)) {
-      reader_->blobs_pruned_.fetch_add(1, std::memory_order_relaxed);
-      if (counters_ != nullptr) {
-        counters_->blobs_pruned.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-    BlobCache* cache = reader_->cache_;
-    if (cache != nullptr && cache_usable_) {
-      BlobCacheKey key;
-      key.schema_type = schema_type_;
-      key.structure = blob.kind;
-      key.seg = blob.record.seg;
-      key.generation = blob.record.generation;
-      key.rid = PackRid(blob.record.rid);
-      key.tag_mask = tag_mask_;
-      // MG blobs mix sources, so the cached value is un-id-filtered and
-      // TrimBatch applies the id constraint; series blobs are single-id.
-      const SourceId id_filter = blob.kind == BlobKind::kMg ? id_ : -1;
-      if (auto hit = cache->Lookup(key)) {
-        reader_->blob_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (counters_ != nullptr) {
-          counters_->blob_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        TrimBatch(*hit, lo_, hi_, id_filter, batch);
-        return Status::OK();
-      }
-      auto full = std::make_shared<RecordBatch>();
-      ODH_RETURN_IF_ERROR(DecodeUntrimmed(blob, full.get()));
-      TrimBatch(*full, lo_, hi_, id_filter, batch);
-      const size_t bytes = BatchBytes(*full);
-      cache->Insert(key, std::move(full), bytes);
-      return Status::OK();
-    }
-    // Cache off (or unrepresentable tag set): decode straight into the
-    // output batch and trim in place — the zero-extra-copy fast path.
-    CountDecoded(blob.record);
-    if (blob.kind == BlobKind::kMg) {
-      std::vector<OperationalRecord> records;
-      ODH_RETURN_IF_ERROR(codec_.DecodeMg(Slice(blob.record.blob),
-                                          blob.record.begin, wanted_tags_,
-                                          num_tags_, &records));
-      std::vector<OperationalRecord> kept;
-      kept.reserve(records.size());
-      for (auto& r : records) {
-        if (r.ts < lo_ || r.ts > hi_) continue;
-        if (id_ >= 0 && r.id != id_) continue;
-        kept.push_back(std::move(r));
-      }
-      ColumnarizeRecords(kept, batch);
-      return Status::OK();
-    }
-    SeriesBatch series;
-    if (blob.kind == BlobKind::kRts) {
-      ODH_RETURN_IF_ERROR(codec_.DecodeRts(
-          Slice(blob.record.blob), blob.record.id, blob.record.begin,
-          blob.record.interval, wanted_tags_, num_tags_, &series));
-    } else {
-      ODH_RETURN_IF_ERROR(codec_.DecodeIrts(Slice(blob.record.blob),
-                                            blob.record.id,
-                                            blob.record.begin, wanted_tags_,
-                                            num_tags_, &series));
-    }
-    // In-place trim to the time range; when nothing is dropped (interior
-    // blob, the common case) the loop writes nothing and the decoded
-    // columns move straight into the batch.
-    const size_t n = series.num_points();
-    size_t kept = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (series.timestamps[i] < lo_ || series.timestamps[i] > hi_) continue;
-      if (kept != i) {
-        series.timestamps[kept] = series.timestamps[i];
-        for (auto& col : series.columns) {
-          if (!col.empty()) col[kept] = col[i];
-        }
-      }
-      ++kept;
-    }
-    series.timestamps.resize(kept);
-    for (auto& col : series.columns) {
-      if (!col.empty()) col.resize(kept);
-    }
-    batch->uniform_id = series.id;
-    batch->timestamps = std::move(series.timestamps);
-    batch->columns = std::move(series.columns);
-    batch->columns.resize(static_cast<size_t>(num_tags_));
-    return Status::OK();
-  }
-
-  void CountDecoded(const BlobRecord& rec) {
-    reader_->blobs_decoded_.fetch_add(1, std::memory_order_relaxed);
-    reader_->blob_bytes_read_.fetch_add(
-        static_cast<int64_t>(rec.blob.size()), std::memory_order_relaxed);
-    if (counters_ != nullptr) {
-      counters_->blobs_decoded.fetch_add(1, std::memory_order_relaxed);
-      counters_->blob_bytes_read.fetch_add(
-          static_cast<int64_t>(rec.blob.size()), std::memory_order_relaxed);
-    }
-  }
-
-  /// Decodes the whole blob — no time trim, no id filter — into the shape
-  /// the cache stores: series batches with every column full-length, MG
-  /// batches columnarized with per-row ids. TrimBatch recovers exactly the
-  /// serial decode-and-trim output from this.
-  Status DecodeUntrimmed(const QueuedBlob& blob, RecordBatch* batch) {
-    CountDecoded(blob.record);
-    if (blob.kind == BlobKind::kMg) {
-      std::vector<OperationalRecord> records;
-      ODH_RETURN_IF_ERROR(codec_.DecodeMg(Slice(blob.record.blob),
-                                          blob.record.begin, wanted_tags_,
-                                          num_tags_, &records));
-      ColumnarizeRecords(records, batch);
-      return Status::OK();
-    }
-    SeriesBatch series;
-    if (blob.kind == BlobKind::kRts) {
-      ODH_RETURN_IF_ERROR(codec_.DecodeRts(
-          Slice(blob.record.blob), blob.record.id, blob.record.begin,
-          blob.record.interval, wanted_tags_, num_tags_, &series));
-    } else {
-      ODH_RETURN_IF_ERROR(codec_.DecodeIrts(Slice(blob.record.blob),
-                                            blob.record.id,
-                                            blob.record.begin, wanted_tags_,
-                                            num_tags_, &series));
-    }
-    batch->uniform_id = series.id;
-    batch->timestamps = std::move(series.timestamps);
-    batch->columns = std::move(series.columns);
-    batch->columns.resize(static_cast<size_t>(num_tags_));
-    return Status::OK();
-  }
-
-  // --- Segment-parallel driver ---------------------------------------
+  // --- Pool dispatch ---------------------------------------------------
   //
   // Units are consumed strictly in order by the cursor thread; a bounded
   // window of them (EffectiveParallelism) runs on the pool at once. A
   // worker owns its unit's progress state exclusively while its task is
-  // live and hands batches over under the unit mutex. Because dispatch is
-  // in unit order and parked workers release their pool thread, the unit
-  // at the merge frontier always makes progress — no consumer stall can
-  // pin the pool.
+  // live and hands batches over under the unit's handover mutex. Because
+  // dispatch is in unit order and parked workers release their pool
+  // thread, the unit at the merge frontier always makes progress — no
+  // consumer stall can pin the pool.
 
-  struct ScanUnit {
-    // Immutable after construction:
-    bool is_slice = false;
-    bool slice_irts = false;
-    std::vector<QueuedBlob> blobs;  // Historical / queued-MG units.
-    // Progress state, touched only by the unit's active worker task:
-    size_t next_blob = 0;
-    OdhStore::SliceCursor slice_cursor;  // Pinned to one segment.
-    bool slice_done = false;
-    std::deque<BlobRecord> slice_buffered;
-    // Handover state, guarded by mu:
+  /// Window and dispatch progress; `next` and `inflight` are guarded by
+  /// `mu`.
+  struct Dispatch {
+    int window = 0;
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<RecordBatch> ready;
-    std::deque<Status> ready_status;
-    bool done = false;      // Worker finished (or was finalized).
-    bool parked = false;    // Worker returned; consumer must resubmit.
-    bool abandoned = false; // Cursor destroyed mid-scan; stop producing.
+    size_t next = 0;
+    int inflight = 0;
   };
 
-  /// Splits queued_ into scan units along (structure, segment) boundaries,
-  /// capped at kUnitMaxBlobs blobs each, preserving queue order. Returns
-  /// the number of distinct (structure, segment) groups.
-  size_t BuildUnitsFromQueued() {
-    std::vector<QueuedBlob> all(std::make_move_iterator(queued_.begin()),
-                                std::make_move_iterator(queued_.end()));
-    queued_.clear();
-    size_t groups = 0;
-    size_t i = 0;
-    while (i < all.size()) {
-      const BlobKind kind = all[i].kind;
-      const int64_t seg = all[i].record.seg;
-      ++groups;
-      size_t j = i;
-      while (j < all.size() && all[j].kind == kind &&
-             all[j].record.seg == seg) {
-        ++j;
-      }
-      for (size_t k = i; k < j; k += kUnitMaxBlobs) {
-        const size_t end = std::min(j, k + kUnitMaxBlobs);
-        auto unit = std::make_unique<ScanUnit>();
-        unit->blobs.assign(std::make_move_iterator(all.begin() + k),
-                           std::make_move_iterator(all.begin() + end));
-        units_.push_back(std::move(unit));
-      }
-      i = j;
+  void StartDispatch(int window) {
+    dispatch_ = std::make_unique<Dispatch>();
+    dispatch_->window = window;
+    for (ScanUnit& u : plan_.units) {
+      u.handover = std::make_unique<UnitHandover>();
     }
-    return groups;
-  }
-
-  /// One pinned-cursor unit per surviving slice segment, in key order.
-  void AddSliceUnits(bool irts, const std::vector<int64_t>& keys) {
-    for (int64_t key : keys) {
-      auto unit = std::make_unique<ScanUnit>();
-      unit->is_slice = true;
-      unit->slice_irts = irts;
-      unit->slice_cursor.seg = key;
-      unit->slice_cursor.pin = true;
-      units_.push_back(std::move(unit));
-    }
-  }
-
-  void StartParallel(size_t segment_groups) {
-    parallel_ = true;
-    window_ = reader_->EffectiveParallelism();
-    reader_->segments_scanned_parallel_.fetch_add(
-        static_cast<int64_t>(segment_groups), std::memory_order_relaxed);
-    if (counters_ != nullptr) {
-      counters_->segments_scanned_parallel.fetch_add(
-          static_cast<int64_t>(segment_groups), std::memory_order_relaxed);
-    }
-    std::lock_guard<std::mutex> lock(driver_mu_);
-    while (next_dispatch_ < units_.size() && inflight_ < window_) {
+    Bump(&reader_->segments_scanned_parallel_, counters_,
+         &ScanCounters::segments_scanned_parallel,
+         static_cast<int64_t>(plan_.groups));
+    std::lock_guard<std::mutex> lock(dispatch_->mu);
+    while (dispatch_->next < plan_.units.size() &&
+           dispatch_->inflight < dispatch_->window) {
       DispatchOneLocked();
     }
   }
 
-  /// Requires driver_mu_. Hands the next unit in order to the pool.
+  /// Requires dispatch_->mu. Hands the next unit in order to the pool.
   void DispatchOneLocked() {
-    ScanUnit* u = units_[next_dispatch_++].get();
-    ++inflight_;
+    ScanUnit* u = &plan_.units[dispatch_->next++];
+    ++dispatch_->inflight;
     reader_->parallel_tasks_.fetch_add(1, std::memory_order_relaxed);
     reader_->pool_->Submit([this, u] { RunUnit(u); });
   }
@@ -650,15 +559,16 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   /// Guarantees the merge-frontier unit has a worker (dispatch is strictly
   /// in unit order), then fills the rest of the window.
   void EnsureDispatched() {
-    std::unique_lock<std::mutex> lock(driver_mu_);
-    while (next_dispatch_ <= current_unit_) {
-      if (inflight_ < window_) {
+    Dispatch& d = *dispatch_;
+    std::unique_lock<std::mutex> lock(d.mu);
+    while (d.next <= current_unit_) {
+      if (d.inflight < d.window) {
         DispatchOneLocked();
       } else {
-        driver_cv_.wait(lock);
+        d.cv.wait(lock);
       }
     }
-    while (next_dispatch_ < units_.size() && inflight_ < window_) {
+    while (d.next < plan_.units.size() && d.inflight < d.window) {
       DispatchOneLocked();
     }
   }
@@ -668,102 +578,71 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   /// may run after the park return — the consumer owns the unit from the
   /// moment parked is set.
   void RunUnit(ScanUnit* u) {
+    UnitHandover& h = *u->handover;
     while (true) {
       {
-        std::unique_lock<std::mutex> lock(u->mu);
-        if (u->abandoned) break;
-        if (u->ready.size() >= kUnitBufferBatches) {
-          u->parked = true;
+        std::unique_lock<std::mutex> lock(h.mu);
+        if (h.abandoned) break;
+        if (h.ready.size() >= kUnitBufferBatches) {
+          h.parked = true;
           return;
         }
       }
       RecordBatch batch;
-      bool more = false;
-      Status st = NextUnitBatch(u, &batch, &more);
-      if (st.ok() && !more) break;
-      bool stop = false;
+      Result<bool> more = NextUnitBatch(u, &batch);
+      if (more.ok() && !more.value()) break;
       {
-        std::lock_guard<std::mutex> lock(u->mu);
-        u->ready.push_back(std::move(batch));
-        u->ready_status.push_back(std::move(st));
-        stop = !u->ready_status.back().ok();
-        u->cv.notify_all();
+        std::lock_guard<std::mutex> lock(h.mu);
+        h.ready.push_back(std::move(batch));
+        h.ready_status.push_back(more.status());
+        h.cv.notify_all();
       }
-      if (stop) break;  // The error surfaces at its serial position.
+      if (!more.ok()) break;  // The error surfaces at its place in order.
     }
     FinishUnit(u);
   }
 
-  /// Next batch of one unit: the pre-listed blobs for historical/MG units,
-  /// the pinned chunked slice scan for slice units (stats deliberately
-  /// null: SliceSegments already counted this scan's pruning).
-  Status NextUnitBatch(ScanUnit* u, RecordBatch* batch, bool* more) {
-    *more = false;
-    if (!u->is_slice) {
-      if (u->next_blob >= u->blobs.size()) return Status::OK();
-      *more = true;
-      return DecodeBlobToBatch(u->blobs[u->next_blob++], batch);
-    }
-    while (true) {
-      if (!u->slice_buffered.empty()) {
-        QueuedBlob blob{u->slice_irts ? BlobKind::kIrts : BlobKind::kRts,
-                        std::move(u->slice_buffered.front())};
-        u->slice_buffered.pop_front();
-        *more = true;
-        return DecodeBlobToBatch(blob, batch);
-      }
-      if (u->slice_done) return Status::OK();
-      std::vector<BlobRecord> chunk;
-      ODH_RETURN_IF_ERROR(reader_->store_->NextSliceChunk(
-          schema_type_, u->slice_irts, lo_, hi_, &u->slice_cursor, &chunk,
-          &u->slice_done, /*stats=*/nullptr));
-      for (auto& rec : chunk) u->slice_buffered.push_back(std::move(rec));
-    }
-  }
-
   void FinishUnit(ScanUnit* u) {
     {
-      std::lock_guard<std::mutex> lock(u->mu);
-      u->done = true;
-      u->cv.notify_all();
+      std::lock_guard<std::mutex> lock(u->handover->mu);
+      u->handover->done = true;
+      u->handover->cv.notify_all();
     }
-    std::lock_guard<std::mutex> lock(driver_mu_);
-    --inflight_;
-    driver_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(dispatch_->mu);
+    --dispatch_->inflight;
+    dispatch_->cv.notify_all();
   }
 
   /// Consumer side of the ordered merge: batches come off the units in
-  /// unit order, which is exactly the serial emission order.
-  Result<bool> NextParallelBatch(RecordBatch* batch) {
-    while (current_unit_ < units_.size()) {
+  /// unit order, which is exactly the inline emission order.
+  Result<bool> NextDispatchedBatch(RecordBatch* batch) {
+    while (current_unit_ < plan_.units.size()) {
       EnsureDispatched();
-      ScanUnit* u = units_[current_unit_].get();
+      ScanUnit* u = &plan_.units[current_unit_];
+      UnitHandover& h = *u->handover;
       RecordBatch b;
       Status st;
       bool got = false;
       bool resume = false;
       {
-        std::unique_lock<std::mutex> lock(u->mu);
-        if (u->ready.empty() && !u->done) {
+        std::unique_lock<std::mutex> lock(h.mu);
+        if (h.ready.empty() && !h.done) {
           reader_->merge_stalls_.fetch_add(1, std::memory_order_relaxed);
-          u->cv.wait(lock, [&] { return !u->ready.empty() || u->done; });
+          h.cv.wait(lock, [&] { return !h.ready.empty() || h.done; });
         }
-        if (!u->ready.empty()) {
-          b = std::move(u->ready.front());
-          st = std::move(u->ready_status.front());
-          u->ready.pop_front();
-          u->ready_status.pop_front();
+        if (!h.ready.empty()) {
+          b = std::move(h.ready.front());
+          st = std::move(h.ready_status.front());
+          h.ready.pop_front();
+          h.ready_status.pop_front();
           got = true;
-          if (u->parked) {
-            u->parked = false;
+          if (h.parked) {
+            h.parked = false;
             resume = true;  // Resubmit outside the unit lock.
           }
         }
       }
-      if (resume) {
-        ScanUnit* parked = u;
-        reader_->pool_->Submit([this, parked] { RunUnit(parked); });
-      }
+      if (resume) reader_->pool_->Submit([this, u] { RunUnit(u); });
       if (!got) {
         ++current_unit_;
         continue;
@@ -779,93 +658,61 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   /// next loop check, parked units (which have no live task) are finalized
   /// inline. After this, no task references the cursor — safe to destroy
   /// even mid-scan (LIMIT short-circuit, error poison).
-  void AbandonParallel() {
-    if (!parallel_) return;
-    for (auto& up : units_) {
-      std::lock_guard<std::mutex> lock(up->mu);
-      up->abandoned = true;
-      up->cv.notify_all();
+  void AbandonDispatch() {
+    if (dispatch_ == nullptr) return;
+    for (ScanUnit& u : plan_.units) {
+      std::lock_guard<std::mutex> lock(u.handover->mu);
+      u.handover->abandoned = true;
+      u.handover->cv.notify_all();
     }
-    for (auto& up : units_) {
+    for (ScanUnit& u : plan_.units) {
+      UnitHandover& h = *u.handover;
       bool finalize = false;
       {
-        std::lock_guard<std::mutex> lock(up->mu);
-        if (up->parked && !up->done) {
-          up->parked = false;
-          up->done = true;
+        std::lock_guard<std::mutex> lock(h.mu);
+        if (h.parked && !h.done) {
+          h.parked = false;
+          h.done = true;
           finalize = true;
         }
       }
       if (finalize) {
-        std::lock_guard<std::mutex> lock(driver_mu_);
-        --inflight_;
-        driver_cv_.notify_all();
+        std::lock_guard<std::mutex> lock(dispatch_->mu);
+        --dispatch_->inflight;
+        dispatch_->cv.notify_all();
       }
     }
-    std::unique_lock<std::mutex> lock(driver_mu_);
-    driver_cv_.wait(lock, [&] { return inflight_ == 0; });
-    parallel_ = false;
-  }
-
-  void ColumnarizeRecords(const std::vector<OperationalRecord>& records,
-                          RecordBatch* batch) const {
-    ColumnarizeInto(records, num_tags_, batch);
+    std::unique_lock<std::mutex> lock(dispatch_->mu);
+    dispatch_->cv.wait(lock, [&] { return dispatch_->inflight == 0; });
   }
 
   OdhReader* reader_;
   int schema_type_;
   SourceId id_;  // -1 for slice scans.
   Timestamp lo_, hi_;
-  std::vector<int> wanted_tags_;
   std::vector<TagFilter> tag_filters_;
   int num_tags_;
-  ValueBlobCodec codec_;
-  common::ScanCounters* counters_;  // Per-query profile; may be null.
+  const BlobDecoder decoder_;
+  ScanCounters* counters_;  // Per-query profile; may be null.
   bool count_pruning_;  // False for windows: the window loop counts.
 
-  /// Chunked slice-scan state for one series structure: the next segment
-  /// key to ask the store for, plus the not-yet-decoded remainder of the
-  /// last chunk it handed back.
-  struct SliceStream {
-    bool active = false;
-    bool done = false;
-    OdhStore::SliceCursor cursor;
-    std::deque<BlobRecord> buffered;
-  };
-
-  std::deque<QueuedBlob> queued_;
-  /// Parallel-decode results, aligned slots in queue order.
-  std::deque<RecordBatch> decoded_;
-  std::deque<Status> decoded_statuses_;
-  SliceStream rts_stream_;
-  SliceStream irts_stream_;
+  /// Units and dirty rows; fixed after Init except for each unit's own
+  /// progress state and the dirty rows, cleared once emitted.
+  ScanPlan plan_;
+  /// Next unit to emit from; touched only by the consumer thread.
+  size_t current_unit_ = 0;
   /// Current batch being drained by the row-at-a-time view.
   RecordBatch batch_;
   size_t row_pos_ = 0;
   Status poison_;  // First error seen; repeated by every later Next.
-  std::vector<OperationalRecord> dirty_;
-
-  /// Cache identity of this scan's decoded tag set (see TagMaskOf).
-  uint64_t tag_mask_ = 0;
-  bool cache_usable_ = false;
-
-  /// Segment-parallel driver state. units_ and window_ are fixed at
-  /// StartParallel; next_dispatch_ and inflight_ are guarded by
-  /// driver_mu_; current_unit_ is touched only by the consumer thread.
-  bool parallel_ = false;
-  std::vector<std::unique_ptr<ScanUnit>> units_;
-  size_t current_unit_ = 0;
-  int window_ = 0;
-  std::mutex driver_mu_;
-  std::condition_variable driver_cv_;
-  size_t next_dispatch_ = 0;
-  int inflight_ = 0;
+  /// Null while the units run inline.
+  std::unique_ptr<Dispatch> dispatch_;
 };
 
 namespace {
 
-/// Accumulates the aggregate-pushdown answer across blob summaries,
-/// decoded blobs, and dirty rows.
+/// Accumulates the aggregate-pushdown answer across blob summaries and
+/// decoded batches (blobs and dirty rows alike).
 class AggregateAccumulator {
  public:
   AggregateAccumulator(const std::vector<TagFilter>* filters,
@@ -890,94 +737,20 @@ class AggregateAccumulator {
     }
   }
 
-  /// Folds in one row (decoded blob or dirty buffer); `tags` may be
-  /// shorter than the schema (missing = NaN).
-  void AddRow(const std::vector<double>& tags) {
-    for (const TagFilter& f : *filters_) {
-      const double v =
-          f.tag < static_cast<int>(tags.size()) ? tags[f.tag] : kNaN;
-      if (!TagFilterMatches(f, v)) return;
-    }
-    ++result_.rows_matched;
-    for (size_t j = 0; j < agg_tags_->size(); ++j) {
-      const int tag = (*agg_tags_)[j];
-      const double v =
-          tag < static_cast<int>(tags.size()) ? tags[tag] : kNaN;
-      if (std::isnan(v)) continue;
-      TagAggregate& agg = result_.tags[j];
-      ++agg.count;
-      agg.sum += v;
-      if (!agg.has_value || v < agg.min) agg.min = v;
-      if (!agg.has_value || v > agg.max) agg.max = v;
-      agg.has_value = true;
-    }
-  }
-
-  /// Folds in a decoded RTS/IRTS blob column-wise: builds a selection
-  /// (time bounds, then each tag filter) and sweeps the per-tag arrays,
-  /// skipping the per-row tag-vector materialization AddRow needs.
-  /// Accumulation order matches AddRow, so results are bit-identical.
-  /// Returns the number of rows inside [lo, hi] before tag filtering.
-  int64_t AddColumns(const SeriesBatch& series, Timestamp lo, Timestamp hi) {
-    const size_t n = series.num_points();
+  /// Folds in an untrimmed batch column-wise: builds a selection (time
+  /// bounds and, for batches with per-row ids, `id_filter`; then each tag
+  /// filter) and sweeps the per-tag arrays. Each tag accumulates in row
+  /// order, so a serial fold is deterministic. Returns the rows inside
+  /// [lo, hi] (and matching `id_filter`) before tag filtering.
+  int64_t AddBatch(const RecordBatch& batch, Timestamp lo, Timestamp hi,
+                   SourceId id_filter) {
+    const size_t n = batch.rows();
     sel_.clear();
     sel_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      if (series.timestamps[i] >= lo && series.timestamps[i] <= hi) {
+      if (!TrimmedAway(batch, i, lo, hi, id_filter)) {
         sel_.push_back(static_cast<int32_t>(i));
       }
-    }
-    const int64_t in_range = static_cast<int64_t>(sel_.size());
-    for (const TagFilter& f : *filters_) {
-      const std::vector<double>* col =
-          f.tag >= 0 && f.tag < static_cast<int>(series.columns.size()) &&
-                  !series.columns[f.tag].empty()
-              ? &series.columns[f.tag]
-              : nullptr;
-      size_t out = 0;
-      for (int32_t i : sel_) {
-        const double v = col != nullptr ? (*col)[i] : kNaN;
-        if (TagFilterMatches(f, v)) sel_[out++] = i;
-      }
-      sel_.resize(out);
-    }
-    result_.rows_matched += static_cast<int64_t>(sel_.size());
-    for (size_t j = 0; j < agg_tags_->size(); ++j) {
-      const int tag = (*agg_tags_)[j];
-      if (tag < 0 || tag >= static_cast<int>(series.columns.size()) ||
-          series.columns[tag].empty()) {
-        continue;  // Unprojected / unknown: all NULL, contributes nothing.
-      }
-      const std::vector<double>& col = series.columns[tag];
-      TagAggregate& agg = result_.tags[j];
-      for (int32_t i : sel_) {
-        const double v = col[i];
-        if (std::isnan(v)) continue;
-        ++agg.count;
-        agg.sum += v;
-        if (!agg.has_value || v < agg.min) agg.min = v;
-        if (!agg.has_value || v > agg.max) agg.max = v;
-        agg.has_value = true;
-      }
-    }
-    return in_range;
-  }
-
-  /// Folds in a decoded-blob-cache batch: same selection/sweep structure
-  /// as AddColumns (so per-tag accumulation order — hence the floating-
-  /// point result — matches the direct decode paths row for row), plus the
-  /// per-row id constraint MG batches need. Returns rows inside [lo, hi]
-  /// (and matching `id_filter`) before tag filtering.
-  int64_t AddColumnsBatch(const RecordBatch& batch, Timestamp lo,
-                          Timestamp hi, SourceId id_filter) {
-    const size_t n = batch.rows();
-    const bool has_ids = !batch.ids.empty();
-    sel_.clear();
-    sel_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (batch.timestamps[i] < lo || batch.timestamps[i] > hi) continue;
-      if (has_ids && id_filter >= 0 && batch.ids[i] != id_filter) continue;
-      sel_.push_back(static_cast<int32_t>(i));
     }
     const int64_t in_range = static_cast<int64_t>(sel_.size());
     for (const TagFilter& f : *filters_) {
@@ -998,7 +771,7 @@ class AggregateAccumulator {
       const int tag = (*agg_tags_)[j];
       if (tag < 0 || tag >= static_cast<int>(batch.columns.size()) ||
           batch.columns[tag].empty()) {
-        continue;
+        continue;  // Unprojected / unknown: all NULL, contributes nothing.
       }
       const std::vector<double>& col = batch.columns[tag];
       TagAggregate& agg = result_.tags[j];
@@ -1071,6 +844,33 @@ Result<OdhStore::HistoricalListing> OdhReader::ListConsistent(
   }
 }
 
+Status OdhReader::PlanScan(int schema_type, SourceId id,
+                           const RouteDecision& route, Timestamp lo,
+                           Timestamp hi, SegmentScanStats* seg_stats,
+                           ScanPlan* plan) {
+  if (id >= 0) {
+    ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
+                         ListConsistent(schema_type, id, route, lo, hi,
+                                        seg_stats, &plan->dirty));
+    AddListedUnits(BlobKind::kRts, std::move(listing.rts), plan);
+    AddListedUnits(BlobKind::kIrts, std::move(listing.irts), plan);
+    AddListedUnits(BlobKind::kMg, std::move(listing.mg), plan);
+    return Status::OK();
+  }
+  if (route.scan_mg) {
+    ODH_ASSIGN_OR_RETURN(auto mg,
+                         store_->GetMg(schema_type, -1, lo, hi, seg_stats));
+    AddListedUnits(BlobKind::kMg, std::move(mg), plan);
+  }
+  for (bool irts : {false, true}) {
+    if (irts ? !route.scan_irts : !route.scan_rts) continue;
+    ODH_ASSIGN_OR_RETURN(
+        auto keys, store_->SliceSegments(schema_type, irts, lo, hi, seg_stats));
+    AddSliceUnits(irts, keys, plan);
+  }
+  return writer_->CollectDirty(schema_type, id, lo, hi, &plan->dirty);
+}
+
 Result<ScanTarget> OdhReader::ResolveScan(int schema_type, SourceId id) {
   ScanTarget target;
   target.schema_type = schema_type;
@@ -1116,11 +916,7 @@ void OdhReader::CountSegmentsPruned(const ScanTarget& target,
     if (target.route.scan_irts && pruned(seg.irts)) ++n;
     if (target.route.scan_mg && pruned(seg.mg)) ++n;
   }
-  if (n == 0) return;
-  segments_pruned_.fetch_add(n, std::memory_order_relaxed);
-  if (counters != nullptr) {
-    counters->segments_pruned.fetch_add(n, std::memory_order_relaxed);
-  }
+  Bump(&segments_pruned_, counters, &ScanCounters::segments_pruned, n);
 }
 
 Result<std::unique_ptr<RecordCursor>> OdhReader::OpenHistorical(
@@ -1171,78 +967,28 @@ Result<AggregateResult> OdhReader::Aggregate(
   ODH_ASSIGN_OR_RETURN(const SchemaType* type,
                        config_->GetSchemaType(schema_type));
   const int num_tags = static_cast<int>(type->tag_names.size());
-  ValueBlobCodec codec(type->compression);
   AggregateAccumulator acc(&tag_filters, &agg_tags);
 
   // Tags the decode fallback actually needs: aggregated plus filtered.
   std::set<int> needed(agg_tags.begin(), agg_tags.end());
   for (const TagFilter& f : tag_filters) needed.insert(f.tag);
-  const std::vector<int> decode_tags(needed.begin(), needed.end());
+  const BlobDecoder decoder(this, schema_type, type->compression,
+                            std::vector<int>(needed.begin(), needed.end()),
+                            num_tags, counters);
 
-  // Candidate blobs, enumerated exactly like the scan paths (including the
-  // segment-manifest elimination the Get*/NextSliceChunk entry points do),
-  // and the unflushed writer rows (dirty-read isolation). A single source's
-  // listing and collection form one consistent cut, as in the historical
-  // scan.
+  // The scan's units and unflushed rows, planned exactly as a scan of the
+  // same range plans them.
   ODH_ASSIGN_OR_RETURN(ScanTarget target, ResolveScan(schema_type, id));
-  const RouteDecision& route = target.route;
-  std::vector<QueuedBlob> blobs;
-  auto add = [&blobs](BlobKind kind, std::vector<BlobRecord> recs) {
-    for (auto& b : recs) blobs.push_back({kind, std::move(b)});
-  };
+  ScanPlan plan;
   SegmentScanStats seg_stats;
-  std::vector<OperationalRecord> dirty;
-  if (id >= 0) {
-    ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
-                         ListConsistent(schema_type, id, route, lo, hi,
-                                        &seg_stats, &dirty));
-    add(BlobKind::kRts, std::move(listing.rts));
-    add(BlobKind::kIrts, std::move(listing.irts));
-    add(BlobKind::kMg, std::move(listing.mg));
-  } else {
-    for (bool is_irts : {false, true}) {
-      if (is_irts ? !route.scan_irts : !route.scan_rts) continue;
-      OdhStore::SliceCursor seg_cursor;
-      bool done = false;
-      while (!done) {
-        std::vector<BlobRecord> chunk;
-        ODH_RETURN_IF_ERROR(store_->NextSliceChunk(schema_type, is_irts, lo,
-                                                   hi, &seg_cursor, &chunk,
-                                                   &done, &seg_stats));
-        add(is_irts ? BlobKind::kIrts : BlobKind::kRts, std::move(chunk));
-      }
-    }
-    if (route.scan_mg) {
-      ODH_ASSIGN_OR_RETURN(auto recs,
-                           store_->GetMg(schema_type, -1, lo, hi,
-                                         &seg_stats));
-      add(BlobKind::kMg, std::move(recs));
-    }
-    ODH_RETURN_IF_ERROR(writer_->CollectDirty(schema_type, id, lo, hi,
-                                              &dirty));
-  }
-  if (seg_stats.segments_pruned > 0) {
-    segments_pruned_.fetch_add(seg_stats.segments_pruned,
-                               std::memory_order_relaxed);
-    if (counters != nullptr) {
-      counters->segments_pruned.fetch_add(seg_stats.segments_pruned,
-                                          std::memory_order_relaxed);
-    }
-  }
+  ODH_RETURN_IF_ERROR(PlanScan(schema_type, id, target.route, lo, hi,
+                               &seg_stats, &plan));
+  Bump(&segments_pruned_, counters, &ScanCounters::segments_pruned,
+       seg_stats.segments_pruned);
 
-  // The decode fallback below may serve from the decoded-blob cache. The
-  // cached value is the untrimmed, un-id-filtered decode of the tag set
-  // this aggregate needs (agg + filter tags), so scan cursors with the
-  // same projection share entries with aggregates.
-  BlobCache* cache = cache_;
-  uint64_t agg_mask = 0;
-  const bool agg_cacheable =
-      cache != nullptr && TagMaskOf(decode_tags, &agg_mask);
-
-  // Per-blob worker: summary pruning / summary-only answers exactly as the
-  // serial aggregate always did, folding into *acc (a unit-local
-  // accumulator under the parallel driver). Thread-safe: it touches only
-  // the stateless codec, the atomic counters, and the blob cache.
+  // Per-blob step: summary pruning, a summary-only answer, or a decode and
+  // fold into *acc (a unit-local accumulator when units run in parallel).
+  // Thread-safe: it touches only the decoder and the atomic counters.
   auto process_blob = [&](const QueuedBlob& blob,
                           AggregateAccumulator* acc) -> Status {
     const BlobRecord& rec = blob.record;
@@ -1253,10 +999,7 @@ Result<AggregateResult> OdhReader::Aggregate(
     }
     if (map.has_value() && !tag_filters.empty() &&
         !map->MayMatch(tag_filters)) {
-      blobs_pruned_.fetch_add(1, std::memory_order_relaxed);
-      if (counters != nullptr) {
-        counters->blobs_pruned.fetch_add(1, std::memory_order_relaxed);
-      }
+      Bump(&blobs_pruned_, counters, &ScanCounters::blobs_pruned);
       return Status::OK();
     }
     // Summary-only answer: the blob must lie entirely inside the time
@@ -1279,168 +1022,54 @@ Result<AggregateResult> OdhReader::Aggregate(
         (!need_values || map->exact()) &&
         map->AllMatch(tag_filters, rec.n)) {
       acc->AddSummary(*map, rec.n);
-      blobs_skipped_by_summary_.fetch_add(1, std::memory_order_relaxed);
-      if (counters != nullptr) {
-        counters->blobs_skipped_by_summary.fetch_add(
-            1, std::memory_order_relaxed);
-      }
+      Bump(&blobs_skipped_by_summary_, counters,
+           &ScanCounters::blobs_skipped_by_summary);
       return Status::OK();
     }
-    // Fallback: decode and scan the boundary / unprovable blob.
-    if (agg_cacheable) {
-      BlobCacheKey key;
-      key.schema_type = schema_type;
-      key.structure = blob.kind;
-      key.seg = rec.seg;
-      key.generation = rec.generation;
-      key.rid = PackRid(rec.rid);
-      key.tag_mask = agg_mask;
-      std::shared_ptr<const RecordBatch> full = cache->Lookup(key);
-      if (full != nullptr) {
-        blob_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (counters != nullptr) {
-          counters->blob_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-      } else {
-        blobs_decoded_.fetch_add(1, std::memory_order_relaxed);
-        blob_bytes_read_.fetch_add(static_cast<int64_t>(rec.blob.size()),
-                                   std::memory_order_relaxed);
-        if (counters != nullptr) {
-          counters->blobs_decoded.fetch_add(1, std::memory_order_relaxed);
-          counters->blob_bytes_read.fetch_add(
-              static_cast<int64_t>(rec.blob.size()),
-              std::memory_order_relaxed);
-        }
-        auto decoded = std::make_shared<RecordBatch>();
-        if (blob.kind == BlobKind::kMg) {
-          std::vector<OperationalRecord> records;
-          ODH_RETURN_IF_ERROR(codec.DecodeMg(Slice(rec.blob), rec.begin,
-                                             decode_tags, num_tags,
-                                             &records));
-          ColumnarizeInto(records, num_tags, decoded.get());
-        } else {
-          SeriesBatch series;
-          if (blob.kind == BlobKind::kRts) {
-            ODH_RETURN_IF_ERROR(codec.DecodeRts(
-                Slice(rec.blob), rec.id, rec.begin, rec.interval,
-                decode_tags, num_tags, &series));
-          } else {
-            ODH_RETURN_IF_ERROR(codec.DecodeIrts(Slice(rec.blob), rec.id,
-                                                 rec.begin, decode_tags,
-                                                 num_tags, &series));
-          }
-          decoded->uniform_id = series.id;
-          decoded->timestamps = std::move(series.timestamps);
-          decoded->columns = std::move(series.columns);
-          decoded->columns.resize(static_cast<size_t>(num_tags));
-        }
-        const size_t bytes = BatchBytes(*decoded);
-        full = decoded;
-        cache->Insert(key, std::move(decoded), bytes);
-      }
-      const int64_t in_range = acc->AddColumnsBatch(
-          *full, lo, hi, blob.kind == BlobKind::kMg ? id : -1);
-      records_emitted_.fetch_add(in_range, std::memory_order_relaxed);
-      if (counters != nullptr) {
-        counters->rows_scanned.fetch_add(in_range, std::memory_order_relaxed);
-      }
-      return Status::OK();
-    }
-    blobs_decoded_.fetch_add(1, std::memory_order_relaxed);
-    blob_bytes_read_.fetch_add(static_cast<int64_t>(rec.blob.size()),
-                               std::memory_order_relaxed);
-    if (counters != nullptr) {
-      counters->blobs_decoded.fetch_add(1, std::memory_order_relaxed);
-      counters->blob_bytes_read.fetch_add(
-          static_cast<int64_t>(rec.blob.size()), std::memory_order_relaxed);
-    }
-    if (blob.kind == BlobKind::kMg) {
-      std::vector<OperationalRecord> records;
-      ODH_RETURN_IF_ERROR(codec.DecodeMg(Slice(rec.blob), rec.begin,
-                                         decode_tags, num_tags, &records));
-      for (const auto& r : records) {
-        if (r.ts < lo || r.ts > hi) continue;
-        if (id >= 0 && r.id != id) continue;
-        records_emitted_.fetch_add(1, std::memory_order_relaxed);
-        if (counters != nullptr) {
-          counters->rows_scanned.fetch_add(1, std::memory_order_relaxed);
-        }
-        acc->AddRow(r.tags);
-      }
-      return Status::OK();
-    }
-    SeriesBatch series;
-    if (blob.kind == BlobKind::kRts) {
-      ODH_RETURN_IF_ERROR(codec.DecodeRts(Slice(rec.blob), rec.id, rec.begin,
-                                          rec.interval, decode_tags,
-                                          num_tags, &series));
-    } else {
-      ODH_RETURN_IF_ERROR(codec.DecodeIrts(Slice(rec.blob), rec.id,
-                                           rec.begin, decode_tags, num_tags,
-                                           &series));
-    }
-    const int64_t in_range = acc->AddColumns(series, lo, hi);
-    records_emitted_.fetch_add(in_range, std::memory_order_relaxed);
-    if (counters != nullptr) {
-      counters->rows_scanned.fetch_add(in_range, std::memory_order_relaxed);
-    }
+    // Fallback: decode and fold the boundary / unprovable blob.
+    std::shared_ptr<const RecordBatch> cached;
+    RecordBatch owned;
+    ODH_RETURN_IF_ERROR(decoder.Decode(blob, &cached, &owned));
+    const int64_t in_range =
+        acc->AddBatch(cached != nullptr ? *cached : owned, lo, hi,
+                      blob.kind == BlobKind::kMg ? id : -1);
+    Bump(&records_emitted_, counters, &ScanCounters::rows_scanned, in_range);
     return Status::OK();
   };
-
-  // Partition the candidate blobs into units along (structure, segment)
-  // boundaries — the same grouping the scan driver uses — and run them
-  // with unit-local accumulators merged back in unit order. Counts merge
-  // exactly; parallel sums reassociate (documented last-ulp caveat).
-  struct AggUnit {
-    size_t begin = 0;
-    size_t end = 0;
-    Status status;
-    AggregateResult result;
-  };
-  std::vector<AggUnit> units;
-  size_t groups = 0;
-  {
-    size_t i = 0;
-    while (i < blobs.size()) {
-      const BlobKind kind = blobs[i].kind;
-      const int64_t seg = blobs[i].record.seg;
-      ++groups;
-      size_t j = i;
-      while (j < blobs.size() && blobs[j].kind == kind &&
-             blobs[j].record.seg == seg) {
-        ++j;
-      }
-      for (size_t k = i; k < j; k += kUnitMaxBlobs) {
-        AggUnit unit;
-        unit.begin = k;
-        unit.end = std::min(j, k + kUnitMaxBlobs);
-        units.push_back(std::move(unit));
-      }
-      i = j;
+  auto run_unit = [&](ScanUnit* unit, AggregateAccumulator* acc) -> Status {
+    QueuedBlob blob;
+    while (true) {
+      ODH_ASSIGN_OR_RETURN(bool got,
+                           unit->NextBlob(store_, schema_type, lo, hi, &blob));
+      if (!got) return Status::OK();
+      ODH_RETURN_IF_ERROR(process_blob(blob, acc));
     }
-  }
+  };
+
+  // Several units under a parallelism cap of 2 or more: work-share them
+  // with unit-local accumulators, merged back in unit order. Counts merge
+  // exactly; parallel sums reassociate (documented last-ulp caveat).
+  std::vector<ScanUnit>& units = plan.units;
   const int width = EffectiveParallelism();
-  if (pool_ != nullptr && width >= 2 && units.size() >= 2) {
+  if (width >= 2 && units.size() >= 2) {
     parallel_tasks_.fetch_add(static_cast<int64_t>(units.size()),
                               std::memory_order_relaxed);
-    segments_scanned_parallel_.fetch_add(static_cast<int64_t>(groups),
-                                         std::memory_order_relaxed);
-    if (counters != nullptr) {
-      counters->segments_scanned_parallel.fetch_add(
-          static_cast<int64_t>(groups), std::memory_order_relaxed);
-    }
+    Bump(&segments_scanned_parallel_, counters,
+         &ScanCounters::segments_scanned_parallel,
+         static_cast<int64_t>(plan.groups));
+    struct Partial {
+      Status status;
+      AggregateResult result;
+    };
+    std::vector<Partial> partials(units.size());
     std::atomic<size_t> next{0};
     auto work = [&] {
       while (true) {
         const size_t u = next.fetch_add(1, std::memory_order_relaxed);
         if (u >= units.size()) break;
-        AggUnit& unit = units[u];
         AggregateAccumulator local(&tag_filters, &agg_tags);
-        for (size_t b = unit.begin; b < unit.end; ++b) {
-          unit.status = process_blob(blobs[b], &local);
-          if (!unit.status.ok()) break;
-        }
-        unit.result = local.Take();
+        partials[u].status = run_unit(&units[u], &local);
+        partials[u].result = local.Take();
       }
     };
     // The caller participates, so cap helpers at the pool size and never
@@ -1462,23 +1091,18 @@ Result<AggregateResult> OdhReader::Aggregate(
       std::unique_lock<std::mutex> lock(done_mu);
       done_cv.wait(lock, [&] { return active == 0; });
     }
-    for (AggUnit& unit : units) {
-      ODH_RETURN_IF_ERROR(unit.status);
-      acc.Merge(unit.result);
+    for (const Partial& p : partials) {
+      ODH_RETURN_IF_ERROR(p.status);
+      acc.Merge(p.result);
     }
   } else {
-    for (const QueuedBlob& blob : blobs) {
-      ODH_RETURN_IF_ERROR(process_blob(blob, &acc));
-    }
+    for (ScanUnit& unit : units) ODH_RETURN_IF_ERROR(run_unit(&unit, &acc));
   }
 
-  // Unflushed writer buffers: row-format, already filtered to [lo, hi] and
-  // `id` by the writer.
-  for (const auto& r : dirty) {
-    if (r.ts < lo || r.ts > hi) continue;
-    acc.AddRow(r.tags);
-  }
-
+  // Unflushed writer rows, already filtered to `id` by the writer.
+  RecordBatch dirty;
+  ColumnarizeInto(plan.dirty, num_tags, &dirty);
+  acc.AddBatch(dirty, lo, hi, /*id_filter=*/-1);
   return acc.Take();
 }
 

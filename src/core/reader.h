@@ -16,7 +16,9 @@
 namespace odh::core {
 
 class BlobCache;
+class BlobDecoder;
 class OdhScanCursorImpl;
+struct ScanPlan;
 
 /// Pull-based stream of decoded operational records. This is the shared
 /// read path: the native query API returns it directly (the paper's
@@ -115,12 +117,12 @@ struct AggregateResult {
 /// decodes only the requested tags (tag-oriented access), merges unflushed
 /// writer buffers (dirty-read isolation).
 ///
-/// When constructed with a thread pool, historical scans fan their
-/// candidate blobs (the ones surviving zone-map pruning) out to the pool
-/// for parallel decoding; records still come back from the cursor in
-/// exactly the order a sequential scan would produce. Counters are atomic,
-/// so cursors may be driven while other threads open more cursors; a single
-/// cursor itself is not for sharing between threads.
+/// Every scan splits its candidate blobs into units (see
+/// EffectiveParallelism): the cursor thread runs them inline, or, with a
+/// pool and a cap of 2 or more, a window of them decodes on the pool;
+/// records come back from the cursor in the same order either way.
+/// Counters are atomic, so cursors may be driven while other threads open
+/// more cursors; a single cursor itself is not for sharing between threads.
 class OdhReader {
  public:
   OdhReader(ConfigComponent* config, OdhStore* store, OdhWriter* writer,
@@ -150,8 +152,8 @@ class OdhReader {
       const ScanTarget* window = nullptr);
 
   /// Slice query: all points of every source of the type in [lo, hi].
-  /// Slice scans stream table iterators and stay sequential regardless of
-  /// the pool.
+  /// The segments to visit are listed at open; each streams its blob rows
+  /// in chunks.
   Result<std::unique_ptr<RecordCursor>> OpenSlice(
       int schema_type, Timestamp lo, Timestamp hi,
       const std::vector<int>& wanted_tags,
@@ -160,8 +162,8 @@ class OdhReader {
       const ScanTarget* window = nullptr);
 
   /// Columnar variants of the scans above: one RecordBatch per decoded
-  /// blob, no per-record materialization. Same routing, pruning, parallel
-  /// predecode, and dirty-read merge as the row cursors.
+  /// blob, no per-record materialization. Same routing, pruning, scan
+  /// driver, and dirty-read merge as the row cursors.
   Result<std::unique_ptr<RecordBatchCursor>> OpenHistoricalBatches(
       int schema_type, SourceId id, Timestamp lo, Timestamp hi,
       const std::vector<int>& wanted_tags,
@@ -259,9 +261,10 @@ class OdhReader {
   common::ThreadPool* pool() const { return pool_; }
   BlobCache* cache() const { return cache_; }
 
-  /// Worker cap for segment-parallel scans: 1 (serial) without a pool or
-  /// with query_parallelism 0/1, the pool size when query_parallelism is
-  /// negative, the configured cap otherwise.
+  /// Worker cap for segment-parallel scans: 1 (units run inline on the
+  /// cursor thread) without a pool or with query_parallelism 0/1, the pool
+  /// size when query_parallelism is negative, the configured cap
+  /// otherwise.
   int EffectiveParallelism() const {
     if (pool_ == nullptr) return 1;
     const int qp = config_->options().query_parallelism;
@@ -270,6 +273,7 @@ class OdhReader {
   }
 
  private:
+  friend class BlobDecoder;
   friend class OdhScanCursorImpl;
 
   /// One source's blob listing plus its unflushed rows (into *dirty) as a
@@ -282,6 +286,14 @@ class OdhReader {
       Timestamp hi, SegmentScanStats* seg_stats,
       std::vector<OperationalRecord>* dirty);
 
+  /// Plans a scan or aggregate of `id` (< 0: slice) into *plan: its units
+  /// in emission order — a historical listing split by (structure,
+  /// segment), or a slice's MG blobs plus one pinned-cursor unit per
+  /// listed segment — and the unflushed rows that follow them.
+  Status PlanScan(int schema_type, SourceId id, const RouteDecision& route,
+                  Timestamp lo, Timestamp hi, SegmentScanStats* seg_stats,
+                  ScanPlan* plan);
+
   /// Shared body of the Open* entry points (`id` < 0: slice).
   Result<std::unique_ptr<OdhScanCursorImpl>> OpenScan(
       int schema_type, SourceId id, Timestamp lo, Timestamp hi,
@@ -292,7 +304,7 @@ class OdhReader {
   OdhStore* store_;
   OdhWriter* writer_;
   DataRouter* router_;
-  common::ThreadPool* pool_;  // Not owned; nullptr = sequential decode.
+  common::ThreadPool* pool_;  // Not owned; nullptr = units run inline.
   BlobCache* cache_;  // Not owned; nullptr = no decoded-blob cache.
   std::atomic<int64_t> blobs_decoded_{0};
   std::atomic<int64_t> blobs_pruned_{0};

@@ -95,7 +95,8 @@ Status Client::ConnectOnce() {
       return Status::Unavailable("injected connect fault");
     }
   }
-  Deadline dl = Deadline::AfterMillisOrInfinite(policy_.connect_timeout_ms);
+  Deadline dl =
+      Deadline::AfterMillisOrInfinite(options_.retry.connect_timeout_ms);
   Result<int> fd = ConnectWithDeadline(host_, port_, dl);
   if (!fd.ok()) {
     if (fd.status().IsDeadlineExceeded()) ++stats_.deadline_timeouts;
@@ -147,9 +148,10 @@ Status Client::ConnectOnce() {
 }
 
 Status Client::ConnectWithRetry() {
-  ExponentialBackoff backoff(policy_.initial_backoff_ms,
-                             policy_.max_backoff_ms, policy_.backoff_seed);
-  const int attempts = policy_.ConnectAttempts();
+  ExponentialBackoff backoff(options_.retry.initial_backoff_ms,
+                             options_.retry.max_backoff_ms,
+                             options_.retry.backoff_seed);
+  const int attempts = options_.retry.ConnectAttempts();
   Status last;
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     last = ConnectOnce();
@@ -168,7 +170,6 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
   client->host_ = host;
   client->port_ = port;
   client->options_ = options;
-  client->policy_ = options.EffectiveRetryPolicy();
   ODH_RETURN_IF_ERROR(client->ConnectWithRetry());
   return client;
 }
@@ -207,7 +208,7 @@ Result<uint64_t> Client::ResolveStatement(const ClientStatement& stmt) {
   if (remote.generation == generation_) return remote.server_id;
   // Prepared on a dead connection: the server-side handle died with it.
   // Re-prepare the retained SQL on the current connection.
-  Deadline dl = Deadline::AfterMillisOrInfinite(policy_.rpc_deadline_ms);
+  Deadline dl = Deadline::AfterMillisOrInfinite(options_.retry.rpc_deadline_ms);
   ODH_RETURN_IF_ERROR(
       SendFrame(FrameType::kPrepare, [&] {
         std::string payload;
@@ -239,7 +240,7 @@ Result<uint64_t> Client::ResolveStatement(const ClientStatement& stmt) {
 
 Result<std::unique_ptr<ClientCursor>> Client::StartStreamOnce(
     FrameType type, const std::string& payload, bool* fully_sent) {
-  Deadline dl = Deadline::AfterMillisOrInfinite(policy_.rpc_deadline_ms);
+  Deadline dl = Deadline::AfterMillisOrInfinite(options_.retry.rpc_deadline_ms);
   ODH_RETURN_IF_ERROR(SendFrame(type, payload, dl));
   // WriteAll is all-or-error: an OK here means the whole request frame is
   // on the wire, so the server may act on it — the retry policy's
@@ -274,10 +275,10 @@ Result<std::unique_ptr<ClientCursor>> Client::StartStream(
     return Status::FailedPrecondition(
         "a result stream is still open; drain or destroy it first");
   }
-  ExponentialBackoff backoff(policy_.initial_backoff_ms,
-                             policy_.max_backoff_ms,
-                             policy_.backoff_seed + 1);
-  const int attempts = policy_.StatementAttempts();
+  ExponentialBackoff backoff(options_.retry.initial_backoff_ms,
+                             options_.retry.max_backoff_ms,
+                             options_.retry.backoff_seed + 1);
+  const int attempts = options_.retry.StatementAttempts();
   Status last;
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     if (!transport_.valid()) {
@@ -298,7 +299,7 @@ Result<std::unique_ptr<ClientCursor>> Client::StartStream(
     // may have taken effect without its ack — surface the error instead.
     const bool safe_to_retry =
         !fully_sent || idempotent ||
-        policy_.idempotency == IdempotencyClass::kIdempotent;
+        options_.retry.idempotency == IdempotencyClass::kIdempotent;
     if (!safe_to_retry || attempt == attempts) return last;
     ++stats_.statement_retries;
     std::this_thread::sleep_for(
@@ -308,7 +309,7 @@ Result<std::unique_ptr<ClientCursor>> Client::StartStream(
 }
 
 Status Client::Advance(ClientCursor* cursor) {
-  Deadline dl = Deadline::AfterMillisOrInfinite(policy_.rpc_deadline_ms);
+  Deadline dl = Deadline::AfterMillisOrInfinite(options_.retry.rpc_deadline_ms);
   Frame frame;
   Result<bool> got = ReadInto(&frame, dl);
   if (!got.ok() || !got.value()) {
@@ -395,10 +396,10 @@ Result<ClientStatement> Client::Prepare(const std::string& sql) {
   }
   std::string payload;
   PutString(&payload, sql);
-  ExponentialBackoff backoff(policy_.initial_backoff_ms,
-                             policy_.max_backoff_ms,
-                             policy_.backoff_seed + 2);
-  const int attempts = policy_.StatementAttempts();
+  ExponentialBackoff backoff(options_.retry.initial_backoff_ms,
+                             options_.retry.max_backoff_ms,
+                             options_.retry.backoff_seed + 2);
+  const int attempts = options_.retry.StatementAttempts();
   Status last;
   ClientStatement stmt;
   for (int attempt = 1; attempt <= attempts; ++attempt) {
@@ -406,7 +407,8 @@ Result<ClientStatement> Client::Prepare(const std::string& sql) {
       Status connected = ConnectWithRetry();
       if (!connected.ok()) return connected;
     }
-    Deadline dl = Deadline::AfterMillisOrInfinite(policy_.rpc_deadline_ms);
+    Deadline dl =
+        Deadline::AfterMillisOrInfinite(options_.retry.rpc_deadline_ms);
     last = SendFrame(FrameType::kPrepare, payload, dl);
     if (last.ok()) {
       Frame frame;
@@ -464,10 +466,10 @@ Result<std::unique_ptr<ClientCursor>> Client::ExecuteStream(
   // Like StartStream, but the payload is rebuilt per attempt: after a
   // reconnect the statement has to be re-prepared, which changes its
   // server-side id.
-  ExponentialBackoff backoff(policy_.initial_backoff_ms,
-                             policy_.max_backoff_ms,
-                             policy_.backoff_seed + 3);
-  const int attempts = policy_.StatementAttempts();
+  ExponentialBackoff backoff(options_.retry.initial_backoff_ms,
+                             options_.retry.max_backoff_ms,
+                             options_.retry.backoff_seed + 3);
+  const int attempts = options_.retry.StatementAttempts();
   Status last;
   for (int attempt = 1; attempt <= attempts; ++attempt) {
     if (!transport_.valid()) {
@@ -486,7 +488,8 @@ Result<std::unique_ptr<ClientCursor>> Client::ExecuteStream(
     if (!IsRetryable(last)) return last;
     Abandon();
     const bool safe_to_retry =
-        !fully_sent || policy_.idempotency == IdempotencyClass::kIdempotent;
+        !fully_sent ||
+        options_.retry.idempotency == IdempotencyClass::kIdempotent;
     if (!safe_to_retry || attempt == attempts) return last;
     ++stats_.statement_retries;
     std::this_thread::sleep_for(
@@ -507,8 +510,9 @@ Status Client::CloseStatement(const ClientStatement& stmt) {
     if (!live) return Status::OK();
   }
   if (!transport_.valid()) return Status::OK();
-  return SendFrame(FrameType::kCloseStmt, EncodeStmtId(server_id),
-                   Deadline::AfterMillisOrInfinite(policy_.rpc_deadline_ms));
+  return SendFrame(
+      FrameType::kCloseStmt, EncodeStmtId(server_id),
+      Deadline::AfterMillisOrInfinite(options_.retry.rpc_deadline_ms));
 }
 
 }  // namespace odh::net

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include <optional>
-
 #include "common/backoff.h"
 #include "common/datum.h"
 #include "common/result.h"
@@ -24,53 +22,16 @@ namespace odh::net {
 /// interactive client on a mostly healthy network; ingest daemons on
 /// flaky plant-floor links want more attempts and a larger backoff cap.
 ///
-/// Set `retry` to configure resilience; it wins wholesale over the loose
-/// legacy fields below. The retry semantics (what each deadline covers,
-/// when a statement is safe to re-send, the stream poison contract) are
-/// documented on RetryPolicy and IdempotencyClass.
+/// The retry semantics (what each deadline covers, when a statement is
+/// safe to re-send, the stream poison contract) are documented on
+/// RetryPolicy and IdempotencyClass.
 struct ClientOptions {
-  /// The one retry/deadline/backoff knob. When unset, the deprecated
-  /// loose fields below are folded into an equivalent policy at Connect
-  /// (see EffectiveRetryPolicy).
-  std::optional<RetryPolicy> retry;
-
-  // --- Deprecated loose fields (one release of grace) -------------------
-  // Kept working for existing callers; ignored entirely when `retry` is
-  // set. `auto_retry=false` maps to IdempotencyClass::kNone,
-  // `assume_idempotent=true` to kIdempotent, the default pair to
-  // kUnstartedOnly.
-  int connect_timeout_ms = 5000;
-  int rpc_deadline_ms = 10000;
-  int max_connect_attempts = 4;
-  int max_statement_attempts = 3;
-  int initial_backoff_ms = 10;
-  int max_backoff_ms = 1000;
-  uint64_t backoff_seed = 0;
-  bool auto_retry = true;
-  bool assume_idempotent = false;
-  // ----------------------------------------------------------------------
+  /// The one retry/deadline/backoff knob.
+  RetryPolicy retry;
 
   /// Test hook: fault policy consulted on connect and by the transport
   /// (must outlive the client). Production leaves this null.
   FaultPolicy* fault_policy = nullptr;
-
-  /// The policy the client will actually run: `retry` verbatim when set,
-  /// otherwise the legacy fields translated.
-  RetryPolicy EffectiveRetryPolicy() const {
-    if (retry.has_value()) return *retry;
-    RetryPolicy p;
-    p.connect_timeout_ms = connect_timeout_ms;
-    p.rpc_deadline_ms = rpc_deadline_ms;
-    p.max_connect_attempts = max_connect_attempts;
-    p.max_statement_attempts = max_statement_attempts;
-    p.initial_backoff_ms = initial_backoff_ms;
-    p.max_backoff_ms = max_backoff_ms;
-    p.backoff_seed = backoff_seed;
-    p.idempotency = !auto_retry ? IdempotencyClass::kNone
-                    : assume_idempotent ? IdempotencyClass::kIdempotent
-                                        : IdempotencyClass::kUnstartedOnly;
-    return p;
-  }
 };
 
 /// A prepared statement's client-side handle. The id names the statement
@@ -177,8 +138,8 @@ class Client {
   /// Zeroes the counters. The ONLY way stats reset — Close() and
   /// reconnects never do (see ClientStats).
   void ResetStats() { stats_ = {}; }
-  /// The resolved retry policy this client runs (legacy fields folded in).
-  const RetryPolicy& retry_policy() const { return policy_; }
+  /// The retry policy this client runs (ClientOptions::retry).
+  const RetryPolicy& retry_policy() const { return options_.retry; }
   bool connected() const { return transport_.valid(); }
 
   /// True for errors worth retrying (possibly on a new connection):
@@ -231,9 +192,6 @@ class Client {
   std::string host_;
   int port_ = 0;
   ClientOptions options_;
-  /// Resolved once at Connect from options_ (EffectiveRetryPolicy); every
-  /// deadline/backoff decision reads this, never the loose legacy fields.
-  RetryPolicy policy_;
   Transport transport_;
   uint64_t session_id_ = 0;
   /// Bumped on every successful (re)connect; prepared statements from

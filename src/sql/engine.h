@@ -54,7 +54,7 @@ struct QueryProfile {
   /// segment's blobs appear in none of them).
   int64_t segments_pruned = 0;
   /// Distinct (structure, segment) groups this query's scans fanned out to
-  /// parallel workers (0 = the serial path ran).
+  /// parallel workers (0 = every unit ran inline on the cursor thread).
   int64_t segments_scanned_parallel = 0;
   /// Blobs served from the decoded-blob cache instead of decoding.
   int64_t blob_cache_hits = 0;

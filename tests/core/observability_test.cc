@@ -274,19 +274,32 @@ TEST_F(ParallelObservabilityTest, ParallelCountersMatchSerialNoDoubleCount) {
 }
 
 TEST_F(ParallelObservabilityTest, SliceScanPruningCountedOnceUnderParallel) {
-  // No id constraint: the slice path lists surviving segments up front for
-  // the parallel driver (SliceSegments) instead of streaming; the pruning
-  // count must be identical to the streaming serial scan.
+  // No id constraint: the slice path lists surviving segments up front
+  // (SliceSegments), one unit each; the pruning count must be identical
+  // whether the units run inline or on the pool. The range spans two
+  // segments, so the parallel run has two units to dispatch.
   const std::string sql =
       "SELECT ts, id, temp FROM env_v WHERE ts >= " +
       std::to_string(220 * kMicrosPerSecond) + " AND ts <= " +
-      std::to_string(280 * kMicrosPerSecond);
+      std::to_string(320 * kMicrosPerSecond);
   const sql::QueryProfile serial = Profiled(0, sql);
   const sql::QueryProfile parallel = Profiled(4, sql);
   EXPECT_EQ(serial.rows_returned, parallel.rows_returned);
   EXPECT_EQ(serial.segments_pruned, parallel.segments_pruned);
   EXPECT_GT(serial.segments_pruned, 0);
   EXPECT_GT(parallel.segments_scanned_parallel, 0);
+
+  // A slice inside one segment is a single unit: it runs inline on the
+  // cursor thread even under a parallelism cap, and prunes the same.
+  const std::string one_segment =
+      "SELECT ts, id, temp FROM env_v WHERE ts >= " +
+      std::to_string(220 * kMicrosPerSecond) + " AND ts <= " +
+      std::to_string(280 * kMicrosPerSecond);
+  const sql::QueryProfile inline_serial = Profiled(0, one_segment);
+  const sql::QueryProfile inline_capped = Profiled(4, one_segment);
+  EXPECT_EQ(inline_serial.rows_returned, inline_capped.rows_returned);
+  EXPECT_EQ(inline_serial.segments_pruned, inline_capped.segments_pruned);
+  EXPECT_EQ(inline_capped.segments_scanned_parallel, 0);
 }
 
 TEST_F(ParallelObservabilityTest, WarmCacheRepeatDecodesNothing) {

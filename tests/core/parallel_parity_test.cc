@@ -260,5 +260,37 @@ TEST_F(ParallelParityTest, AbandonedStreamShutsDownWorkersCleanly) {
   EXPECT_EQ(r->rows[0][0], Datum::Int64(4 * kSeconds));
 }
 
+/// Regression: a native cursor that stops after one row decodes the same
+/// number of blobs with a read pool and a parallelism cap of 1 as without
+/// a pool. The serial driver used to decode every queued blob eagerly on
+/// the pool (4 against 1 here); units now run inline, one blob per batch.
+TEST(ParallelParityInlineTest, EarlyStopDecodesNoMoreWithAPool) {
+  auto blobs_decoded_by_one_row = [](int read_parallelism,
+                                     int query_parallelism) {
+    OdhOptions options;
+    options.batch_size = 25;
+    options.read_parallelism = read_parallelism;
+    options.query_parallelism = query_parallelism;
+    options.sql_metadata_router = false;
+    OdhSystem odh(options);
+    const int type = odh.DefineSchemaType("env", {"v"}).value();
+    ODH_CHECK_OK(odh.RegisterSource(1, type, kMicrosPerSecond, true));
+    for (int i = 0; i < 90; ++i) {
+      ODH_CHECK_OK(odh.Ingest({1, i * kMicrosPerSecond, {1.0 * i}}));
+    }
+    ODH_CHECK_OK(odh.FlushAll());  // Four blobs: 25 + 25 + 25 + 15 points.
+    {
+      auto cursor = odh.HistoricalQuery(type, 1, 0, kMaxTimestamp);
+      ODH_CHECK_OK(cursor.status());
+      OperationalRecord rec;
+      EXPECT_TRUE((*cursor)->Next(&rec).value());
+    }
+    return odh.reader()->stats().blobs_decoded;
+  };
+  const int64_t no_pool = blobs_decoded_by_one_row(0, 0);
+  EXPECT_EQ(no_pool, 1);
+  EXPECT_EQ(blobs_decoded_by_one_row(2, 1), no_pool);
+}
+
 }  // namespace
 }  // namespace odh::core

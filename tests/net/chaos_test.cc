@@ -94,9 +94,9 @@ TEST_F(ChaosTest, TransientConnectFailuresAreRetriedWithBackoff) {
 
   ClientOptions opts;
   opts.fault_policy = &faults;
-  opts.initial_backoff_ms = 1;
-  opts.max_backoff_ms = 8;
-  opts.backoff_seed = 7;
+  opts.retry.initial_backoff_ms = 1;
+  opts.retry.max_backoff_ms = 8;
+  opts.retry.backoff_seed = 7;
   auto client = Client::Connect("127.0.0.1", port_, opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   EXPECT_EQ((*client)->stats().connect_attempts, 3);
@@ -111,7 +111,7 @@ TEST_F(ChaosTest, TransientConnectFailuresAreRetriedWithBackoff) {
   once.FailNthConnect(1);
   ClientOptions one_shot;
   one_shot.fault_policy = &once;
-  one_shot.max_connect_attempts = 1;
+  one_shot.retry.max_connect_attempts = 1;
   auto refused = Client::Connect("127.0.0.1", port_, one_shot);
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(Client::IsRetryable(refused.status()))
@@ -193,10 +193,11 @@ TEST_F(ChaosTest, ServerStallBeyondDeadlineTimesOutThenRetrySucceeds) {
   StartServer(options);
 
   ClientOptions opts;
-  opts.rpc_deadline_ms = 100;
-  opts.assume_idempotent = true;  // Read-only workload: retry after send.
-  opts.initial_backoff_ms = 1;
-  opts.max_backoff_ms = 8;
+  opts.retry.rpc_deadline_ms = 100;
+  // Read-only workload: retry after send.
+  opts.retry.idempotency = IdempotencyClass::kIdempotent;
+  opts.retry.initial_backoff_ms = 1;
+  opts.retry.max_backoff_ms = 8;
   auto client = Client::Connect("127.0.0.1", port_, opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
@@ -236,7 +237,7 @@ TEST_F(ChaosTest, DrainLetsActiveStreamsFinish) {
   std::vector<Row> truth = Truth(sql);
 
   ClientOptions opts;
-  opts.rpc_deadline_ms = 5000;  // Must ride out the injected stall.
+  opts.retry.rpc_deadline_ms = 5000;  // Must ride out the injected stall.
   auto client = Client::Connect("127.0.0.1", port_, opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto stream = (*client)->QueryStream(sql);
@@ -265,7 +266,7 @@ TEST_F(ChaosTest, DrainLetsActiveStreamsFinish) {
 
   // A draining server takes no new work.
   ClientOptions one_shot;
-  one_shot.max_connect_attempts = 1;
+  one_shot.retry.max_connect_attempts = 1;
   auto late = Client::Connect("127.0.0.1", port_, one_shot);
   EXPECT_FALSE(late.ok());
 }
@@ -283,8 +284,8 @@ TEST_F(ChaosTest, DrainForceClosesStragglersAfterBudget) {
   StartServer(options);
 
   ClientOptions opts;
-  opts.rpc_deadline_ms = 5000;
-  opts.max_statement_attempts = 1;
+  opts.retry.rpc_deadline_ms = 5000;
+  opts.retry.max_statement_attempts = 1;
   auto client = Client::Connect("127.0.0.1", port_, opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   auto stream =
@@ -339,9 +340,9 @@ TEST_F(ChaosTest, NoAcknowledgedWriteIsLostOrDuplicatedUnderRateFaults) {
 
   ClientOptions opts;
   opts.fault_policy = &faults;
-  opts.initial_backoff_ms = 1;
-  opts.max_backoff_ms = 4;
-  opts.backoff_seed = 11;
+  opts.retry.initial_backoff_ms = 1;
+  opts.retry.max_backoff_ms = 4;
+  opts.retry.backoff_seed = 11;
   auto client = Client::Connect("127.0.0.1", port_, opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 
@@ -386,13 +387,13 @@ TEST_F(ChaosTest, CorruptedFrameIsRejectedThenRetried) {
 
   ClientOptions opts;
   opts.fault_policy = &faults;
-  opts.assume_idempotent = true;
+  opts.retry.idempotency = IdempotencyClass::kIdempotent;
   // A flipped length prefix can leave the parser waiting for bytes that
   // will never come; the deadline converts that into a fast, retryable
   // failure instead of a hang.
-  opts.rpc_deadline_ms = 300;
-  opts.initial_backoff_ms = 1;
-  opts.max_backoff_ms = 8;
+  opts.retry.rpc_deadline_ms = 300;
+  opts.retry.initial_backoff_ms = 1;
+  opts.retry.max_backoff_ms = 8;
   auto client = Client::Connect("127.0.0.1", port_, opts);
   ASSERT_TRUE(client.ok()) << client.status().ToString();
 

@@ -200,7 +200,7 @@ TEST_F(ServerTest, AdmissionControlRejectsBeyondMaxSessions) {
   // Single-attempt clients, so each Connect maps to exactly one
   // admission decision.
   ClientOptions one_shot;
-  one_shot.max_connect_attempts = 1;
+  one_shot.retry.max_connect_attempts = 1;
   auto c1 = Client::Connect("127.0.0.1", *port, one_shot);
   auto c2 = Client::Connect("127.0.0.1", *port, one_shot);
   ASSERT_TRUE(c1.ok() && c2.ok());
@@ -238,9 +238,9 @@ TEST_F(ServerTest, AdmissionRejectionRetriesAutomaticallyWithBackoff) {
     (*keeper)->Close();
   });
   ClientOptions patient;
-  patient.max_connect_attempts = 200;
-  patient.initial_backoff_ms = 5;
-  patient.max_backoff_ms = 20;
+  patient.retry.max_connect_attempts = 200;
+  patient.retry.initial_backoff_ms = 5;
+  patient.retry.max_backoff_ms = 20;
   auto late = Client::Connect("127.0.0.1", *port, patient);
   releaser.join();
   ASSERT_TRUE(late.ok()) << late.status().ToString();
@@ -258,7 +258,7 @@ TEST_F(ServerTest, RejectionCounterVisibleThroughOdhMetrics) {
   auto port = server.Start();
   ASSERT_TRUE(port.ok());
   ClientOptions one_shot;
-  one_shot.max_connect_attempts = 1;
+  one_shot.retry.max_connect_attempts = 1;
   auto keeper = Client::Connect("127.0.0.1", *port, one_shot);
   ASSERT_TRUE(keeper.ok());
   auto refused = Client::Connect("127.0.0.1", *port, one_shot);
@@ -288,7 +288,7 @@ TEST_F(ServerTest, MemoryPressureGatesAdmission) {
   ASSERT_TRUE(root->TryReserve(1 << 20).ok());
 
   ClientOptions one_shot;
-  one_shot.max_connect_attempts = 1;
+  one_shot.retry.max_connect_attempts = 1;
   auto refused = Client::Connect("127.0.0.1", *port, one_shot);
   ASSERT_FALSE(refused.ok());
   EXPECT_TRUE(refused.status().IsResourceExhausted())
@@ -303,9 +303,9 @@ TEST_F(ServerTest, MemoryPressureGatesAdmission) {
     root->Release(1 << 20);
   });
   ClientOptions patient;
-  patient.max_connect_attempts = 200;
-  patient.initial_backoff_ms = 5;
-  patient.max_backoff_ms = 20;
+  patient.retry.max_connect_attempts = 200;
+  patient.retry.initial_backoff_ms = 5;
+  patient.retry.max_backoff_ms = 20;
   auto late = Client::Connect("127.0.0.1", *port, patient);
   releaser.join();
   ASSERT_TRUE(late.ok()) << late.status().ToString();
@@ -329,7 +329,7 @@ TEST_F(ServerTest, RejectionCodeIsMachineReadableNotMessageText) {
   ASSERT_TRUE(port.ok());
 
   ClientOptions one_shot;
-  one_shot.max_connect_attempts = 1;
+  one_shot.retry.max_connect_attempts = 1;
   auto keeper = Client::Connect("127.0.0.1", *port, one_shot);
   ASSERT_TRUE(keeper.ok());
 
@@ -448,7 +448,7 @@ TEST(ServerLifecycleTest, DestructorWithLiveSessionsIsSafe) {
   }
   // The orphaned clients see a dead connection, not a hang.
   ClientOptions no_retry;
-  no_retry.auto_retry = false;
+  no_retry.retry.idempotency = IdempotencyClass::kNone;
   auto r = c1->Query("SELECT 1");
   EXPECT_FALSE(r.ok());
 }
@@ -503,52 +503,7 @@ TEST(ServerLifecycleTest, SilentPeerIsReapedByReadDeadline) {
 }
 
 
-// Satellite: the RetryPolicy value object and the deprecated loose-field
-// shim. One knob, folded deterministically; `retry` wins wholesale.
-
-TEST(RetryPolicyTest, LegacyLooseFieldsFoldIntoAnEquivalentPolicy) {
-  ClientOptions legacy;
-  legacy.connect_timeout_ms = 123;
-  legacy.rpc_deadline_ms = 456;
-  legacy.max_connect_attempts = 7;
-  legacy.max_statement_attempts = 5;
-  legacy.initial_backoff_ms = 2;
-  legacy.max_backoff_ms = 64;
-  legacy.backoff_seed = 99;
-  RetryPolicy p = legacy.EffectiveRetryPolicy();
-  EXPECT_EQ(p.connect_timeout_ms, 123);
-  EXPECT_EQ(p.rpc_deadline_ms, 456);
-  EXPECT_EQ(p.max_connect_attempts, 7);
-  EXPECT_EQ(p.max_statement_attempts, 5);
-  EXPECT_EQ(p.initial_backoff_ms, 2);
-  EXPECT_EQ(p.max_backoff_ms, 64);
-  EXPECT_EQ(p.backoff_seed, 99u);
-  EXPECT_EQ(p.idempotency, IdempotencyClass::kUnstartedOnly);
-
-  legacy.auto_retry = false;
-  EXPECT_EQ(legacy.EffectiveRetryPolicy().idempotency,
-            IdempotencyClass::kNone);
-  legacy.auto_retry = true;
-  legacy.assume_idempotent = true;
-  EXPECT_EQ(legacy.EffectiveRetryPolicy().idempotency,
-            IdempotencyClass::kIdempotent);
-}
-
-TEST(RetryPolicyTest, ExplicitPolicyWinsOverLooseFields) {
-  ClientOptions options;
-  options.max_connect_attempts = 99;  // Loose field, to be ignored.
-  RetryPolicy p;
-  p.max_connect_attempts = 2;
-  p.idempotency = IdempotencyClass::kNone;
-  options.retry = p;
-  EXPECT_EQ(options.EffectiveRetryPolicy().max_connect_attempts, 2);
-  EXPECT_EQ(options.EffectiveRetryPolicy().idempotency,
-            IdempotencyClass::kNone);
-  // kNone means one attempt per statement, whatever the attempt knob says.
-  RetryPolicy none = options.EffectiveRetryPolicy();
-  none.max_statement_attempts = 5;
-  EXPECT_EQ(none.StatementAttempts(), 1);
-}
+// Satellite: the RetryPolicy value object, the client's one retry knob.
 
 TEST(RetryPolicyTest, ClientRunsTheResolvedPolicy) {
   core::OdhSystem odh;
@@ -556,10 +511,14 @@ TEST(RetryPolicyTest, ClientRunsTheResolvedPolicy) {
   auto port = server.Start();
   ASSERT_TRUE(port.ok());
   ClientOptions options;
-  options.rpc_deadline_ms = 2222;  // Legacy field, folded at Connect.
+  options.retry.rpc_deadline_ms = 2222;
+  options.retry.idempotency = IdempotencyClass::kNone;
+  options.retry.max_statement_attempts = 5;
   auto client = Client::Connect("127.0.0.1", *port, options);
   ASSERT_TRUE(client.ok());
   EXPECT_EQ((*client)->retry_policy().rpc_deadline_ms, 2222);
+  // kNone means one attempt per statement, whatever the attempt knob says.
+  EXPECT_EQ((*client)->retry_policy().StatementAttempts(), 1);
   server.Stop();
 }
 

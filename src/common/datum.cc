@@ -1,6 +1,7 @@
 #include "common/datum.h"
 
 #include <cstdio>
+#include <cstdlib>
 
 namespace odh {
 
@@ -20,6 +21,29 @@ std::string DataTypeName(DataType type) {
       return "TIMESTAMP";
   }
   return "?";
+}
+
+void Datum::BadAccess(DataType wanted) const {
+  std::fprintf(stderr, "Datum holding %s read as %s\n",
+               DataTypeName(type_).c_str(), DataTypeName(wanted).c_str());
+  std::abort();
+}
+
+Datum& Datum::operator=(const Datum& other) {
+  if (this == &other) return *this;
+  if (other.is_string()) {
+    if (is_string()) {
+      *payload_.str = *other.payload_.str;  // Reuses this string's buffer.
+      return *this;
+    }
+    payload_.str = CopyString(other);
+    type_ = DataType::kString;
+    return *this;
+  }
+  FreeString();
+  payload_ = other.payload_;
+  type_ = other.type_;
+  return *this;
 }
 
 double Datum::AsDouble() const {

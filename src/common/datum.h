@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <variant>
 #include <vector>
 
 #include "common/types.h"
@@ -23,38 +22,77 @@ enum class DataType : uint8_t {
 
 std::string DataTypeName(DataType type);
 
-/// A dynamically typed SQL value. NULL is represented by monostate.
+/// A dynamically typed SQL value: 16 bytes, a one-byte type tag beside
+/// an 8-byte payload. Bools, integers, doubles and timestamps live in the
+/// payload; a string lives out of line in its own heap-allocated
+/// std::string that the Datum owns, and copies deep-copy it. A
+/// moved-from Datum is NULL.
 class Datum {
  public:
   Datum() = default;  // NULL
+  Datum(const Datum& other) : payload_(other.payload_), type_(other.type_) {
+    if (type_ == DataType::kString) payload_.str = CopyString(other);
+  }
+  Datum(Datum&& other) noexcept
+      : payload_(other.payload_), type_(other.type_) {
+    other.type_ = DataType::kNull;
+  }
+  Datum& operator=(const Datum& other);
+  Datum& operator=(Datum&& other) noexcept {
+    if (this != &other) {
+      FreeString();
+      payload_ = other.payload_;
+      type_ = other.type_;
+      other.type_ = DataType::kNull;
+    }
+    return *this;
+  }
+  ~Datum() { FreeString(); }
+
   static Datum Null() { return Datum(); }
-  static Datum Bool(bool v) { return Datum(Value(v)); }
-  static Datum Int64(int64_t v) { return Datum(Value(v)); }
-  static Datum Double(double v) { return Datum(Value(v)); }
-  static Datum String(std::string v) { return Datum(Value(std::move(v))); }
-  static Datum Time(Timestamp ts) { return Datum(Value(Micros{ts})); }
-
-  bool is_null() const { return std::holds_alternative<std::monostate>(v_); }
-  bool is_bool() const { return std::holds_alternative<bool>(v_); }
-  bool is_int64() const { return std::holds_alternative<int64_t>(v_); }
-  bool is_double() const { return std::holds_alternative<double>(v_); }
-  bool is_string() const { return std::holds_alternative<std::string>(v_); }
-  bool is_timestamp() const { return std::holds_alternative<Micros>(v_); }
-
-  DataType type() const {
-    if (is_null()) return DataType::kNull;
-    if (is_bool()) return DataType::kBool;
-    if (is_timestamp()) return DataType::kTimestamp;
-    if (is_int64()) return DataType::kInt64;
-    if (is_double()) return DataType::kDouble;
-    return DataType::kString;
+  static Datum Bool(bool v) {
+    Payload p;
+    p.b = v;
+    return Datum(DataType::kBool, p);
+  }
+  static Datum Int64(int64_t v) { return Datum(DataType::kInt64, Payload{v}); }
+  static Datum Double(double v) {
+    Payload p;
+    p.d = v;
+    return Datum(DataType::kDouble, p);
+  }
+  static Datum String(std::string v) {
+    Payload p;
+    p.str = new std::string(std::move(v));
+    return Datum(DataType::kString, p);
+  }
+  static Datum Time(Timestamp ts) {
+    return Datum(DataType::kTimestamp, Payload{ts});
   }
 
-  bool bool_value() const { return std::get<bool>(v_); }
+  bool is_null() const { return type_ == DataType::kNull; }
+  bool is_bool() const { return type_ == DataType::kBool; }
+  bool is_int64() const { return type_ == DataType::kInt64; }
+  bool is_double() const { return type_ == DataType::kDouble; }
+  bool is_string() const { return type_ == DataType::kString; }
+  bool is_timestamp() const { return type_ == DataType::kTimestamp; }
+
+  DataType type() const { return type_; }
+
+  bool bool_value() const {
+    if (!is_bool()) BadAccess(DataType::kBool);
+    return payload_.b;
+  }
   /// int64_value and timestamp_value read either integral type.
   int64_t int64_value() const { return IntegralValue(); }
-  double double_value() const { return std::get<double>(v_); }
-  const std::string& string_value() const { return std::get<std::string>(v_); }
+  double double_value() const {
+    if (!is_double()) BadAccess(DataType::kDouble);
+    return payload_.d;
+  }
+  const std::string& string_value() const {
+    if (!is_string()) BadAccess(DataType::kString);
+    return *payload_.str;
+  }
   Timestamp timestamp_value() const { return IntegralValue(); }
 
   /// Numeric view: int64/double/timestamp/bool as double. Precondition:
@@ -76,23 +114,38 @@ class Datum {
   std::string ToString() const;
 
  private:
-  /// A timestamp: its own alternative rather than an int64 plus a flag,
-  /// which keeps a Datum at the size of its variant (40 bytes, not 48).
-  struct Micros {
-    int64_t value;
+  /// The live member follows type_: i (kInt64, kTimestamp), b (kBool),
+  /// d (kDouble), str (kString, owned); none for kNull.
+  union Payload {
+    int64_t i = 0;
+    bool b;
+    double d;
+    std::string* str;
   };
-  using Value = std::variant<std::monostate, bool, int64_t, double,
-                             std::string, Micros>;
-  explicit Datum(Value v) : v_(std::move(v)) {}
+  Datum(DataType type, Payload payload) : payload_(payload), type_(type) {}
+
+  /// Aborts the program: a typed accessor was called on a Datum holding
+  /// another type. That is a bug in the caller, never a data error.
+  [[noreturn]] void BadAccess(DataType wanted) const;
+
+  static std::string* CopyString(const Datum& other) {
+    return new std::string(*other.payload_.str);
+  }
+  void FreeString() {
+    if (type_ == DataType::kString) delete payload_.str;
+  }
 
   bool is_integral() const { return is_int64() || is_timestamp(); }
   int64_t IntegralValue() const {
-    const Micros* ts = std::get_if<Micros>(&v_);
-    return ts != nullptr ? ts->value : std::get<int64_t>(v_);
+    if (!is_integral()) BadAccess(DataType::kInt64);
+    return payload_.i;
   }
 
-  Value v_;
+  Payload payload_;
+  DataType type_ = DataType::kNull;
 };
+
+static_assert(sizeof(Datum) == 16, "a Datum is a tag beside an 8-byte payload");
 
 using Row = std::vector<Datum>;
 

@@ -144,10 +144,15 @@ class Arena {
 
 /// Accounting estimate for one SQL value / row as held by the buffered
 /// execution paths. Deliberately an estimate (container headers plus
-/// string payload), consistently applied on reserve and release.
+/// string payload), consistently applied on reserve and release. A string
+/// is charged its out-of-line std::string object and that string's
+/// capacity.
 inline int64_t ApproxDatumBytes(const Datum& d) {
   int64_t n = static_cast<int64_t>(sizeof(Datum));
-  if (d.is_string()) n += static_cast<int64_t>(d.string_value().capacity());
+  if (d.is_string()) {
+    n += static_cast<int64_t>(sizeof(std::string) +
+                              d.string_value().capacity());
+  }
   return n;
 }
 

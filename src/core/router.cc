@@ -83,13 +83,6 @@ Result<RouteDecision> DataRouter::RouteSlice(int schema_type) {
   decision.scan_irts = true;
   decision.scan_mg = true;
   decision.mg_group = -1;
-  if (config_->options().sql_metadata_router) {
-    // The slice route still consults metadata for the set of containers.
-    std::string sql =
-        "SELECT COUNT(*) FROM odh$sources WHERE schema_type = " +
-        std::to_string(schema_type);
-    ODH_RETURN_IF_ERROR(engine_->Execute(sql).status());
-  }
   return decision;
 }
 

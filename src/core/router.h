@@ -27,7 +27,8 @@ struct RouteDecision {
 ///
 /// Two modes, selected by OdhOptions::sql_metadata_router:
 ///  - SQL mode reproduces the paper: metadata lives in a relational table
-///    (odh$sources) and every route runs a SQL point query against it.
+///    (odh$sources) and every historical route runs a SQL point query
+///    against it.
 ///  - Direct mode is the paper's proposed fix: an in-memory lookup.
 class DataRouter {
  public:
@@ -47,6 +48,8 @@ class DataRouter {
   Result<RouteDecision> RouteHistorical(int schema_type, SourceId id);
 
   /// Routes a slice query (all sources of a type, short time window).
+  /// Every container is a candidate, so no mode consults metadata; the
+  /// route still counts as a lookup.
   Result<RouteDecision> RouteSlice(int schema_type);
 
   /// Routes performed so far. Direct-mode routing is thread-safe (it reads

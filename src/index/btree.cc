@@ -1,6 +1,7 @@
 #include "index/btree.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -112,53 +113,135 @@ Status BTree::StoreNode(storage::PageNo page_no, const Node& node) {
   return Status::OK();
 }
 
-Status BTree::LoadNode(storage::PageNo page_no, Node* node) {
-  ODH_ASSIGN_OR_RETURN(storage::PageRef page, pool_->FetchPage(file_,
-                                                               page_no));
-  Slice input(page.data(), pool_->usable_page_size());
-  char type = input[0];
+namespace {
+
+// GetLengthPrefixed with the one-byte length of every key and value an
+// index holds in practice decoded inline.
+inline bool GetLength(Slice* input, Slice* result) {
+  if (!input->empty() && static_cast<unsigned char>((*input)[0]) < 0x80) {
+    const size_t len = static_cast<unsigned char>((*input)[0]);
+    if (input->size() < 1 + len) return false;
+    *result = Slice(input->data() + 1, len);
+    input->remove_prefix(1 + len);
+    return true;
+  }
+  return GetLengthPrefixed(input, result);
+}
+
+}  // namespace
+
+template <typename OnCount, typename OnEntry>
+Status BTree::NodeParser::Walk(Slice input, OnCount&& on_count,
+                               OnEntry&& on_entry) {
+  if (input.empty()) return Status::Corruption("empty btree node");
+  const char type = input[0];
   input.remove_prefix(1);
+  if (type != kLeafType && type != kInternalType) {
+    return Status::Corruption("bad node type");
+  }
+  leaf_ = type == kLeafType;
+  uint32_t n = 0;
+  if (!GetVarint32(&input, &n)) return Status::Corruption("node count");
+  // Every entry takes at least two length bytes in a leaf, and a length
+  // byte plus a child in an internal node: refuse a count the rest of the
+  // page cannot hold before anything is reserved for it.
+  const uint64_t min_bytes =
+      leaf_ ? 2ull * n + 5 : 1ull * n + 4ull * (uint64_t{n} + 1);
+  if (min_bytes > input.size()) {
+    return Status::Corruption("node count overruns page");
+  }
+  on_count(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    Slice k, v;
+    if (!GetLength(&input, &k) || (leaf_ && !GetLength(&input, &v))) {
+      return Status::Corruption("node entry runs off page");
+    }
+    on_entry(k, v);
+  }
+  if (input.size() < (leaf_ ? 5 : 4 * (uint64_t{n} + 1))) {
+    return Status::Corruption(leaf_ ? "leaf trailer runs off page"
+                                    : "child array runs off page");
+  }
+  tail_ = input.data();
+  return Status::OK();
+}
+
+Status BTree::NodeParser::Parse(Slice page) {
+  keys_.clear();
+  values_.clear();
+  return Walk(
+      page,
+      [this](uint32_t n) {
+        keys_.reserve(n);
+        if (leaf_) values_.reserve(n);
+      },
+      [this](const Slice& k, const Slice& v) {
+        keys_.push_back(k);
+        if (leaf_) values_.push_back(v);
+      });
+}
+
+storage::PageNo BTree::NodeParser::child(size_t i) const {
+  return DecodeFixed32(tail_ + 4 * i);
+}
+
+storage::PageNo BTree::NodeParser::next_leaf() const {
+  return DecodeFixed32(tail_ + 1);
+}
+
+size_t BTree::NodeParser::LowerBound(const Slice& key) const {
+  return static_cast<size_t>(
+      std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+}
+
+size_t BTree::NodeParser::UpperBound(const Slice& key) const {
+  return static_cast<size_t>(
+      std::upper_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+}
+
+Result<storage::PageRef> BTree::FetchNode(storage::PageNo page_no) {
+  if (page_no == kMetaPage) {
+    return Status::Corruption("btree node points at the meta page");
+  }
+  Result<storage::PageRef> page = pool_->FetchPage(file_, page_no);
+  if (page.status().code() == StatusCode::kOutOfRange) {
+    return Status::Corruption("btree node points past the file: page " +
+                              std::to_string(page_no));
+  }
+  return page;
+}
+
+Status BTree::LoadNode(storage::PageNo page_no, Node* node) {
+  ODH_ASSIGN_OR_RETURN(storage::PageRef page, FetchNode(page_no));
   node->entries.clear();
   node->keys.clear();
   node->children.clear();
-  if (type == kLeafType) {
-    node->leaf = true;
-    uint32_t n;
-    if (!GetVarint32(&input, &n)) return Status::Corruption("leaf count");
-    node->entries.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Slice k, v;
-      if (!GetLengthPrefixed(&input, &k) || !GetLengthPrefixed(&input, &v)) {
-        return Status::Corruption("leaf entry");
-      }
-      node->entries.emplace_back(k.ToString(), v.ToString());
-    }
-    if (input.size() < 5) return Status::Corruption("leaf trailer");
-    node->has_next_leaf = input[0] != 0;
-    input.remove_prefix(1);
-    node->next_leaf = DecodeFixed32(input.data());
-  } else if (type == kInternalType) {
-    node->leaf = false;
-    uint32_t n;
-    if (!GetVarint32(&input, &n)) return Status::Corruption("internal count");
-    node->keys.reserve(n);
-    for (uint32_t i = 0; i < n; ++i) {
-      Slice k;
-      if (!GetLengthPrefixed(&input, &k)) {
-        return Status::Corruption("internal key");
-      }
-      node->keys.push_back(k.ToString());
-    }
-    node->children.reserve(n + 1);
-    for (uint32_t i = 0; i < n + 1; ++i) {
-      uint32_t child;
-      if (!GetFixed32(&input, &child)) {
-        return Status::Corruption("internal child");
-      }
-      node->children.push_back(child);
-    }
+  NodeParser parser;
+  ODH_RETURN_IF_ERROR(parser.Walk(
+      Slice(page.data(), pool_->usable_page_size()),
+      [&](uint32_t n) {
+        if (parser.leaf()) {
+          node->entries.reserve(n);
+        } else {
+          node->keys.reserve(n);
+        }
+      },
+      [&](const Slice& k, const Slice& v) {
+        if (parser.leaf()) {
+          node->entries.emplace_back(k.ToString(), v.ToString());
+        } else {
+          node->keys.push_back(k.ToString());
+        }
+      }));
+  node->leaf = parser.leaf();
+  if (node->leaf) {
+    node->has_next_leaf = parser.has_next_leaf();
+    node->next_leaf = parser.next_leaf();
   } else {
-    return Status::Corruption("bad node type");
+    node->children.reserve(node->keys.size() + 1);
+    for (size_t i = 0; i <= node->keys.size(); ++i) {
+      node->children.push_back(parser.child(i));
+    }
   }
   return Status::OK();
 }
@@ -264,38 +347,48 @@ Status BTree::Insert(const Slice& key, const Slice& value) {
   return WriteMeta();
 }
 
-Result<storage::PageNo> BTree::FindLeaf(const Slice& key) {
+Result<storage::PageNo> BTree::FindLeaf(const Slice& key,
+                                        NodeParser* parser) {
+  // Every leaf sits height_ - 1 levels below the root (splits grow the
+  // tree at the top and deletes never merge), so the walk parses internal
+  // nodes only and a damaged child pointer cannot send it round a cycle.
   storage::PageNo page_no = root_;
-  Node node;
-  while (true) {
-    ODH_RETURN_IF_ERROR(LoadNode(page_no, &node));
-    if (node.leaf) return page_no;
-    auto it = std::upper_bound(node.keys.begin(), node.keys.end(), key,
-                               [](const Slice& k, const std::string& nk) {
-                                 return k.compare(Slice(nk)) < 0;
-                               });
-    page_no = node.children[static_cast<size_t>(it - node.keys.begin())];
+  for (int level = 1; level < height_; ++level) {
+    ODH_ASSIGN_OR_RETURN(storage::PageRef page, FetchNode(page_no));
+    ODH_RETURN_IF_ERROR(
+        parser->Parse(Slice(page.data(), pool_->usable_page_size())));
+    if (parser->leaf()) {
+      return Status::Corruption("btree leaf above the leaf level");
+    }
+    page_no = parser->child(parser->UpperBound(key));
   }
+  return page_no;
 }
 
 Result<std::string> BTree::Get(const Slice& key) {
-  ODH_ASSIGN_OR_RETURN(storage::PageNo leaf, FindLeaf(key));
-  Node node;
-  ODH_RETURN_IF_ERROR(LoadNode(leaf, &node));
-  auto it = std::lower_bound(node.entries.begin(), node.entries.end(), key,
-                             [](const auto& entry, const Slice& k) {
-                               return Slice(entry.first).compare(k) < 0;
-                             });
-  if (it == node.entries.end() || Slice(it->first) != key) {
+  NodeParser parser;
+  ODH_ASSIGN_OR_RETURN(storage::PageNo leaf, FindLeaf(key, &parser));
+  ODH_ASSIGN_OR_RETURN(storage::PageRef page, FetchNode(leaf));
+  ODH_RETURN_IF_ERROR(
+      parser.Parse(Slice(page.data(), pool_->usable_page_size())));
+  if (!parser.leaf()) {
+    return Status::Corruption("btree internal node at leaf level");
+  }
+  const size_t i = parser.LowerBound(key);
+  if (i == parser.count() || parser.key(i) != key) {
     return Status::NotFound("key not in btree");
   }
-  return it->second;
+  return parser.value(i).ToString();
 }
 
 Status BTree::Delete(const Slice& key) {
-  ODH_ASSIGN_OR_RETURN(storage::PageNo leaf, FindLeaf(key));
+  NodeParser parser;
+  ODH_ASSIGN_OR_RETURN(storage::PageNo leaf, FindLeaf(key, &parser));
   Node node;
   ODH_RETURN_IF_ERROR(LoadNode(leaf, &node));
+  if (!node.leaf) {
+    return Status::Corruption("btree internal node at leaf level");
+  }
   auto it = std::lower_bound(node.entries.begin(), node.entries.end(), key,
                              [](const auto& entry, const Slice& k) {
                                return Slice(entry.first).compare(k) < 0;
@@ -309,52 +402,45 @@ Status BTree::Delete(const Slice& key) {
   return WriteMeta();
 }
 
-Status BTree::Iterator::LoadLeaf(storage::PageNo page) {
-  Node node;
-  ODH_RETURN_IF_ERROR(tree_->LoadNode(page, &node));
-  ODH_CHECK(node.leaf);
-  entries_ = std::move(node.entries);
-  has_next_leaf_ = node.has_next_leaf;
-  next_leaf_ = node.next_leaf;
+Status BTree::Iterator::LoadLeaf(storage::PageNo page_no) {
+  const size_t usable = tree_->pool_->usable_page_size();
+  {
+    ODH_ASSIGN_OR_RETURN(storage::PageRef page, tree_->FetchNode(page_no));
+    if (buf_ == nullptr) buf_ = std::make_unique<char[]>(usable);
+    std::memcpy(buf_.get(), page.data(), usable);
+  }
+  ODH_RETURN_IF_ERROR(leaf_.Parse(Slice(buf_.get(), usable)));
+  if (!leaf_.leaf()) {
+    return Status::Corruption("btree internal node at leaf level");
+  }
+  return Status::OK();
+}
+
+Status BTree::Iterator::SettleOnEntry() {
+  while (pos_ >= leaf_.count()) {
+    if (!leaf_.has_next_leaf()) return Status::OK();  // Past the end.
+    ODH_RETURN_IF_ERROR(LoadLeaf(leaf_.next_leaf()));
+    pos_ = 0;
+  }
+  valid_ = true;
   return Status::OK();
 }
 
 Status BTree::Iterator::Seek(const Slice& key) {
   valid_ = false;
-  ODH_ASSIGN_OR_RETURN(storage::PageNo leaf, tree_->FindLeaf(key));
+  ODH_ASSIGN_OR_RETURN(storage::PageNo leaf, tree_->FindLeaf(key, &leaf_));
   ODH_RETURN_IF_ERROR(LoadLeaf(leaf));
-  auto it = std::lower_bound(entries_.begin(), entries_.end(), key,
-                             [](const auto& entry, const Slice& k) {
-                               return Slice(entry.first).compare(k) < 0;
-                             });
-  pos_ = static_cast<size_t>(it - entries_.begin());
-  while (pos_ >= entries_.size()) {
-    if (!has_next_leaf_) return Status::OK();  // Invalid: past the end.
-    ODH_RETURN_IF_ERROR(LoadLeaf(next_leaf_));
-    pos_ = 0;
-  }
-  valid_ = true;
-  key_ = entries_[pos_].first;
-  value_ = entries_[pos_].second;
-  return Status::OK();
+  pos_ = leaf_.LowerBound(key);
+  return SettleOnEntry();
 }
 
 Status BTree::Iterator::SeekToFirst() { return Seek(Slice("", 0)); }
 
 Status BTree::Iterator::Next() {
   if (!valid_) return Status::FailedPrecondition("iterator not valid");
+  valid_ = false;
   ++pos_;
-  while (pos_ >= entries_.size()) {
-    if (!has_next_leaf_) {
-      valid_ = false;
-      return Status::OK();
-    }
-    ODH_RETURN_IF_ERROR(LoadLeaf(next_leaf_));
-    pos_ = 0;
-  }
-  key_ = entries_[pos_].first;
-  value_ = entries_[pos_].second;
-  return Status::OK();
+  return SettleOnEntry();
 }
 
 }  // namespace odh::index

@@ -49,7 +49,58 @@ class BTree {
   int height() const { return height_; }
   storage::FileId file() const { return file_; }
 
+  /// Reads one serialized node where it lies — in a pinned page or in a
+  /// copy of one — and hands out Slices into those bytes. Parse() walks
+  /// the node's framing once, checking every count and length against the
+  /// page, and records where each key (and, in a leaf, each value) lies;
+  /// nothing is copied. A parser keeps its capacity across Parse() calls,
+  /// so one reused for a walk allocates only while it first grows.
+  class NodeParser {
+   public:
+    /// Corruption for a bad type byte, a count the page cannot hold, or a
+    /// length or child array running off the page.
+    Status Parse(Slice page);
+
+    bool leaf() const { return leaf_; }
+    size_t count() const { return keys_.size(); }
+    /// A leaf's i-th key, or an internal node's i-th separator: the
+    /// smallest key in child(i + 1)'s subtree.
+    Slice key(size_t i) const { return keys_[i]; }
+    /// A leaf's i-th value.
+    Slice value(size_t i) const { return values_[i]; }
+    /// An internal node's i-th child, i <= count().
+    storage::PageNo child(size_t i) const;
+    bool has_next_leaf() const { return tail_[0] != 0; }
+    storage::PageNo next_leaf() const;
+
+    /// The first i whose key(i) >= `key` (count() when there is none).
+    size_t LowerBound(const Slice& key) const;
+    /// The first i whose key(i) > `key`; in an internal node, the child
+    /// whose subtree may hold `key`.
+    size_t UpperBound(const Slice& key) const;
+
+   private:
+    friend class BTree;
+
+    /// Parse()'s single pass: checks the framing, calls `on_count(n)` once
+    /// the count is known to fit, then `on_entry(key, value)` per entry
+    /// (the value is empty in an internal node), and sets leaf() and the
+    /// tail child() and next_leaf() read. LoadNode walks with callbacks
+    /// that build a Node directly.
+    template <typename OnCount, typename OnEntry>
+    Status Walk(Slice page, OnCount&& on_count, OnEntry&& on_entry);
+
+    bool leaf_ = true;
+    std::vector<Slice> keys_;
+    std::vector<Slice> values_;
+    // The child array of an internal node; a leaf's next-leaf trailer.
+    const char* tail_ = nullptr;
+  };
+
   /// Forward iterator over key order. Invalidated by writes to the tree.
+  /// Holds a copy of the current leaf's bytes, so eviction of the page
+  /// cannot pull them away; key() and value() point into that copy and
+  /// stay valid until the next Seek or Next.
   class Iterator {
    public:
     /// Positions at the first key >= `key`.
@@ -58,24 +109,24 @@ class BTree {
     Status SeekToFirst();
     bool Valid() const { return valid_; }
     Status Next();
-    Slice key() const { return Slice(key_); }
-    Slice value() const { return Slice(value_); }
+    /// Empty when !Valid().
+    Slice key() const { return valid_ ? leaf_.key(pos_) : Slice(); }
+    Slice value() const { return valid_ ? leaf_.value(pos_) : Slice(); }
 
    private:
     friend class BTree;
     explicit Iterator(BTree* tree) : tree_(tree) {}
 
+    /// Copies leaf `page` into buf_ and parses it there.
     Status LoadLeaf(storage::PageNo page);
+    /// Steps over exhausted leaves along the chain; sets valid_.
+    Status SettleOnEntry();
 
     BTree* tree_;
     bool valid_ = false;
-    // Decoded copy of the current leaf; simple and safe against eviction.
-    std::vector<std::pair<std::string, std::string>> entries_;
-    storage::PageNo next_leaf_ = 0;
-    bool has_next_leaf_ = false;
+    std::unique_ptr<char[]> buf_;  // Moves keep the bytes where they are.
+    NodeParser leaf_;
     size_t pos_ = 0;
-    std::string key_;
-    std::string value_;
   };
 
   Iterator NewIterator() { return Iterator(this); }
@@ -83,9 +134,10 @@ class BTree {
  private:
   friend class Iterator;
 
-  // In-memory decoded node. Nodes are (de)serialized from 4 KB pages on
-  // access; this trades CPU for implementation clarity and also provides a
-  // realistic per-record B-tree maintenance cost for the baselines.
+  // In-memory decoded node, built only by the write path: an insert or
+  // delete decodes each node it touches into strings and re-serializes it.
+  // That keeps the code plain and gives the relational baselines a
+  // realistic per-record B-tree maintenance cost. Reads use NodeParser.
   struct Node {
     bool leaf = true;
     // For leaves: entries are (key, value). For internals: children has
@@ -107,6 +159,9 @@ class BTree {
   BTree(storage::BufferPool* pool, storage::FileId file)
       : pool_(pool), file_(file) {}
 
+  /// Pins node page `page`. A page number past the file, or the meta
+  /// page, is Corruption: only a damaged parent or leaf chain names one.
+  Result<storage::PageRef> FetchNode(storage::PageNo page);
   Status LoadNode(storage::PageNo page, Node* node);
   Status StoreNode(storage::PageNo page, const Node& node);
   static size_t SerializedSize(const Node& node);
@@ -117,8 +172,9 @@ class BTree {
   Status WriteMeta();
   Status ReadMeta();
 
-  /// Finds the leaf page that may contain `key`.
-  Result<storage::PageNo> FindLeaf(const Slice& key);
+  /// Finds the leaf page that may contain `key`, parsing the internal
+  /// nodes on the way down with `parser`.
+  Result<storage::PageNo> FindLeaf(const Slice& key, NodeParser* parser);
 
   storage::BufferPool* pool_;
   storage::FileId file_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace odh {
 namespace {
 
@@ -90,6 +94,100 @@ TEST(DatumTest, ToString) {
   EXPECT_EQ(Datum::Int64(-7).ToString(), "-7");
   EXPECT_EQ(Datum::Bool(true).ToString(), "true");
   EXPECT_EQ(Datum::String("hey").ToString(), "hey");
+}
+
+static_assert(sizeof(Datum) == 16, "a one-byte tag beside an 8-byte payload");
+
+/// One value of each storage class: out-of-line strings (one past any
+/// small-string buffer, one within it), each inline payload, and NULL.
+std::vector<Datum> Samples() {
+  return {Datum::String(std::string(100, 's')), Datum::String("short"),
+          Datum::Int64(-42),  Datum::Double(2.5),
+          Datum::Bool(true),  Datum::Time(1234),
+          Datum::Null()};
+}
+
+/// Same type and same value (operator== alone equates int64 and time).
+void ExpectSame(const Datum& got, const Datum& want) {
+  EXPECT_EQ(got.type(), want.type());
+  EXPECT_EQ(got.ToString(), want.ToString());
+}
+
+TEST(DatumTest, CopiesEveryPairOfTypes) {
+  const std::vector<Datum> samples = Samples();
+  const std::vector<Datum> pristine = Samples();
+  for (const Datum& a : samples) {
+    for (size_t j = 0; j < samples.size(); ++j) {
+      const Datum& b = samples[j];
+      SCOPED_TRACE(a.ToString() + " <- " + b.ToString());
+      Datum target(a);
+      ExpectSame(target, a);
+      target = b;
+      ExpectSame(target, b);
+      // Strings are deep copies: the source keeps its own bytes.
+      if (b.is_string()) {
+        EXPECT_NE(target.string_value().data(), b.string_value().data());
+      }
+      ExpectSame(b, pristine[j]);
+    }
+  }
+}
+
+TEST(DatumTest, MovesEveryPairOfTypesAndLeavesNull) {
+  const std::vector<Datum> samples = Samples();
+  for (const Datum& a : samples) {
+    for (const Datum& b : samples) {
+      SCOPED_TRACE(a.ToString() + " <- " + b.ToString());
+      Datum source(b);
+      const char* bytes = b.is_string() ? source.string_value().data()
+                                        : nullptr;
+      Datum target(a);
+      target = std::move(source);
+      ExpectSame(target, b);
+      // The documented moved-from state is NULL, and it is reusable.
+      EXPECT_TRUE(source.is_null());  // NOLINT(bugprone-use-after-move)
+      if (b.is_string()) {
+        // The string moved without a copy.
+        EXPECT_EQ(target.string_value().data(), bytes);
+      }
+      source = a;
+      ExpectSame(source, a);
+
+      Datum constructed(std::move(target));
+      ExpectSame(constructed, b);
+      EXPECT_TRUE(target.is_null());  // NOLINT(bugprone-use-after-move)
+    }
+  }
+}
+
+TEST(DatumTest, SelfAssignmentKeepsTheValue) {
+  for (const Datum& a : Samples()) {
+    SCOPED_TRACE(a.ToString());
+    Datum d(a);
+    Datum& alias = d;
+    d = alias;
+    ExpectSame(d, a);
+    d = std::move(alias);
+    ExpectSame(d, a);
+  }
+}
+
+TEST(DatumTest, ReadingAnotherTypeAborts) {
+  EXPECT_DEATH(Datum::Int64(1).string_value(), "BIGINT read as VARCHAR");
+  EXPECT_DEATH(Datum::String("1").int64_value(), "VARCHAR read as BIGINT");
+  EXPECT_DEATH(Datum::Null().double_value(), "NULL read as DOUBLE");
+  EXPECT_DEATH(Datum::Double(1).bool_value(), "DOUBLE read as BOOL");
+}
+
+TEST(DatumTest, RowsOfMixedTypesCopyAndGrow) {
+  Row row;
+  for (int i = 0; i < 100; ++i) {
+    for (const Datum& d : Samples()) row.push_back(d);  // Reallocates.
+  }
+  const Row copy = row;
+  ASSERT_EQ(copy.size(), row.size());
+  for (size_t i = 0; i < row.size(); ++i) ExpectSame(copy[i], row[i]);
+  EXPECT_EQ(copy[0].string_value(), std::string(100, 's'));
 }
 
 TEST(TimestampTest, FormatAndParseRoundTrip) {

@@ -172,6 +172,10 @@ TEST(ApproxBytesTest, StringsCountTheirCapacity) {
   const Datum str = Datum::String(std::string(1000, 'x'));
   EXPECT_GE(ApproxDatumBytes(str),
             static_cast<int64_t>(sizeof(Datum)) + 1000);
+  // The string's out-of-line object is charged as well as its capacity.
+  EXPECT_EQ(ApproxDatumBytes(str),
+            static_cast<int64_t>(sizeof(Datum) + sizeof(std::string) +
+                                 str.string_value().capacity()));
   const Row row = {small, str};
   EXPECT_EQ(ApproxRowBytes(row), static_cast<int64_t>(sizeof(Row)) +
                                      ApproxDatumBytes(small) +

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/memory.h"
 #include "core/odh.h"
 #include "sql/session.h"
 #include "storage/fault_policy.h"
@@ -69,6 +70,13 @@ void LoadDoubles(Session* session, int n) {
     ODH_CHECK_OK(
         session->ExecutePrepared(insert, {Datum::Int64(i), v}).status());
   }
+}
+
+/// What the memory governor charges for one row LoadDoubles stores (and
+/// `SELECT id, v` returns). Budgets below are derived from it, so they
+/// keep their meaning when the in-memory row format changes size.
+int64_t DoublesRowBytes() {
+  return common::ApproxRowBytes({Datum::Int64(0), Datum::Double(0)});
 }
 
 int CountSpillFiles(storage::SimDisk* disk) {
@@ -260,12 +268,13 @@ TEST(MemoryGovernanceTest, TopNOverBudgetConvertsToSpillAndStaysExact) {
   core::OdhSystem plain;
   Session plain_session(plain.engine());
   LoadDoubles(&plain_session, 800);
-  core::OdhSystem governed(Governed(/*query_bytes=*/48 * 1024));
+  // The budget holds 300 bare rows, but each kept entry also carries its
+  // sort key, so LIMIT 300's kept set exceeds it and the heap converts to
+  // the external path mid-stream; the answer may not change.
+  core::OdhSystem governed(Governed(/*query_bytes=*/300 * DoublesRowBytes()));
   Session session(governed.engine());
   LoadDoubles(&session, 800);
 
-  // LIMIT 300's kept set alone exceeds 48 KiB, so the heap converts to
-  // the external path mid-stream; the answer may not change.
   const std::string q = "SELECT id, v FROM m ORDER BY v LIMIT 300";
   auto expected = plain_session.Execute(q);
   ASSERT_TRUE(expected.ok()) << expected.status().ToString();
@@ -456,8 +465,10 @@ TEST(MemoryGovernanceTest, RecoverSweepsOrphanedSpillFiles) {
 }
 
 TEST(MemoryGovernanceTest, SessionBudgetBoundsMaterializedResults) {
-  core::OdhSystem governed(Governed(/*query_bytes=*/0,
-                                    /*session_bytes=*/64 * 1024));
+  // The session may hold three quarters of the 800-row result.
+  core::OdhSystem governed(
+      Governed(/*query_bytes=*/0,
+               /*session_bytes=*/800 * DoublesRowBytes() * 3 / 4));
   Session session(governed.engine());
   LoadDoubles(&session, 800);
 

@@ -82,14 +82,6 @@ struct OdhOptions {
   /// query_parallelism asks for one; the scan fan-out itself is capped by
   /// query_parallelism.
   int read_parallelism = 0;
-  /// Columnar batch execution: virtual-table scans emit one tag-major
-  /// batch per decoded ValueBlob and filters run as vectorized kernels
-  /// instead of per-row Datum evaluation. Off = the row-at-a-time path.
-  bool enable_vectorized_scan = true;
-  /// Aggregate pushdown: COUNT/SUM/AVG/MIN/MAX over blobs fully covered
-  /// by the time range and tag predicates are answered from the per-blob
-  /// summary alone (zero decompression). Off = aggregates scan rows.
-  bool enable_aggregate_pushdown = true;
   /// Observability: wire flush/sync instruments into the components,
   /// register the pull-gauges, and expose the odh_metrics / odh_queries /
   /// odh_storage system tables. Off exists for the bench's overhead
@@ -140,17 +132,9 @@ class ConfigComponent {
 
   const OdhOptions& options() const { return options_; }
 
-  /// Flips the scan-path toggles on a live instance. Benchmarks and tests
-  /// use this to compare row-at-a-time, vectorized, and pushdown execution
-  /// over the same loaded data.
-  void SetScanPathOptions(bool vectorized, bool aggregate_pushdown) {
-    options_.enable_vectorized_scan = vectorized;
-    options_.enable_aggregate_pushdown = aggregate_pushdown;
-  }
-
-  /// Flips the segment-parallel scan cap on a live instance (same
-  /// quiesced-toggle contract as SetScanPathOptions): benches and the
-  /// parity tests compare serial vs parallel execution over one store.
+  /// Flips the segment-parallel scan cap on a live instance (callers
+  /// quiesce queries first): benches and the parity tests compare serial
+  /// vs parallel execution over one store.
   /// Cannot raise the worker count past the pool created at construction.
   void SetQueryParallelism(int query_parallelism) {
     options_.query_parallelism = query_parallelism;

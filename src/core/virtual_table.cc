@@ -1,7 +1,6 @@
 #include "core/virtual_table.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 #include <set>
 
@@ -11,43 +10,6 @@
 
 namespace odh::core {
 namespace {
-
-/// Wraps a RecordCursor, assembling SQL rows and re-checking constraints.
-class VirtualTableCursor : public sql::RowCursor {
- public:
-  VirtualTableCursor(std::unique_ptr<RecordCursor> cursor,
-                     sql::ScanSpec spec, int num_tags)
-      : cursor_(std::move(cursor)),
-        spec_(std::move(spec)),
-        num_tags_(num_tags) {}
-
-  Result<bool> Next(Row* row) override {
-    OperationalRecord record;
-    while (true) {
-      ODH_ASSIGN_OR_RETURN(bool more, cursor_->Next(&record));
-      if (!more) return false;
-      // Row assembly: this per-value boxing is the VTI overhead.
-      row->clear();
-      row->reserve(2 + num_tags_);
-      row->push_back(Datum::Int64(record.id));
-      row->push_back(Datum::Time(record.ts));
-      for (int t = 0; t < num_tags_; ++t) {
-        if (std::isnan(record.tags[t])) {
-          row->push_back(Datum::Null());
-        } else {
-          row->push_back(Datum::Double(record.tags[t]));
-        }
-      }
-      if (!sql::RowSatisfies(*row, spec_.constraints)) continue;
-      return true;
-    }
-  }
-
- private:
-  std::unique_ptr<RecordCursor> cursor_;
-  sql::ScanSpec spec_;
-  int num_tags_;
-};
 
 /// The window loop of a top-k time scan: serves an order-limit hint on
 /// the timestamp column. [lo, hi] is split at segment starts into disjoint
@@ -177,41 +139,56 @@ class VirtualTableBatchCursor : public sql::BatchCursor {
   int num_tags_;
 };
 
-/// A SQL predicate may name a source id the historian has never seen;
-/// that matches no rows rather than being an error, so unknown-id routes
-/// degrade to empty cursors on every scan path.
-template <typename Cursor, typename Item>
-class EmptyCursor : public Cursor {
+/// Re-checks every constraint on each assembled row, for specs the
+/// pushdown does not absorb exactly (a range on id, a non-numeric bound);
+/// the reader and the range kernels have already applied what they could.
+class ResidualCursor : public sql::RowCursor {
  public:
-  Result<bool> Next(Item*) override { return false; }
+  ResidualCursor(std::unique_ptr<sql::RowCursor> rows,
+                 std::vector<sql::ColumnConstraint> constraints)
+      : rows_(std::move(rows)), constraints_(std::move(constraints)) {}
+
+  Result<bool> Next(Row* row) override {
+    while (true) {
+      ODH_ASSIGN_OR_RETURN(bool more, rows_->Next(row));
+      if (!more || sql::RowSatisfies(*row, constraints_)) return more;
+    }
+  }
+
+ private:
+  std::unique_ptr<sql::RowCursor> rows_;
+  std::vector<sql::ColumnConstraint> constraints_;
 };
 
-/// Opens an ordinary scan of one time range, as a row or batch cursor;
-/// `window` is null for a plain scan (see OdhReader::OpenHistorical).
-template <typename Cursor>
-using OpenRangeFn = std::function<Result<std::unique_ptr<Cursor>>(
+/// A SQL predicate may name a source id the historian has never seen;
+/// that matches no rows rather than being an error, so unknown-id routes
+/// degrade to an empty cursor.
+class EmptyCursor : public sql::RowCursor {
+ public:
+  Result<bool> Next(Row*) override { return false; }
+};
+
+/// Opens an ordinary scan of one time range; `window` is null for a plain
+/// scan (see OdhReader::OpenHistorical).
+using OpenRangeFn = std::function<Result<std::unique_ptr<sql::RowCursor>>(
     Timestamp lo, Timestamp hi, const ScanTarget* window)>;
 
-/// A top-k time scan over either cursor flavor: one ordinary scan per
-/// group of TimeWindows, `passed_rows` counting the rows of each emitted
-/// item that passed the constraints (a row; a batch's selected rows).
-template <typename Cursor, typename Item>
-class WindowedCursor : public Cursor {
+/// A top-k time scan: one ordinary scan per group of TimeWindows. Rows are
+/// counted as they leave the window's cursor, after every re-check, so
+/// only rows that reach the sorter can end the loop.
+class WindowedCursor : public sql::RowCursor {
  public:
-  WindowedCursor(TimeWindows windows, OpenRangeFn<Cursor> open,
-                 int64_t (*passed_rows)(const Item&))
-      : windows_(std::move(windows)),
-        open_(std::move(open)),
-        passed_rows_(passed_rows) {}
+  WindowedCursor(TimeWindows windows, OpenRangeFn open)
+      : windows_(std::move(windows)), open_(std::move(open)) {}
 
-  Result<bool> Next(Item* item) override {
+  Result<bool> Next(Row* row) override {
     if (!poison_.ok()) return poison_;
     while (true) {
       if (window_ != nullptr) {
-        Result<bool> more = window_->Next(item);
+        Result<bool> more = window_->Next(row);
         if (!more.ok()) return poison_ = more.status();
         if (*more) {
-          passed_ += passed_rows_(*item);
+          ++passed_;
           return true;
         }
         window_.reset();
@@ -226,9 +203,8 @@ class WindowedCursor : public Cursor {
 
  private:
   TimeWindows windows_;
-  OpenRangeFn<Cursor> open_;
-  int64_t (*passed_rows_)(const Item&);
-  std::unique_ptr<Cursor> window_;
+  OpenRangeFn open_;
+  std::unique_ptr<sql::RowCursor> window_;
   int64_t passed_ = 0;
   Status poison_;
 };
@@ -236,33 +212,29 @@ class WindowedCursor : public Cursor {
 /// Opens [lo, hi] of `id` (< 0: slice) through `open`: as one scan, or —
 /// when `spec` carries an order-limit hint on the timestamp column — as a
 /// top-k time scan. An unknown id yields an empty cursor.
-template <typename Cursor, typename Item>
-Result<std::unique_ptr<Cursor>> OpenTimeRange(
+Result<std::unique_ptr<sql::RowCursor>> OpenTimeRange(
     OdhReader* reader, int schema_type, SourceId id, Timestamp lo,
-    Timestamp hi, const sql::ScanSpec& spec, OpenRangeFn<Cursor> open,
-    int64_t (*passed_rows)(const Item&)) {
+    Timestamp hi, const sql::ScanSpec& spec, OpenRangeFn open) {
   auto unknown_id = [id](const Status& status) {
     return id >= 0 && status.IsNotFound();
   };
   if (!spec.order_limit.has_value() ||
       spec.order_limit->column != OdhVirtualTable::kTimestampColumn) {
-    Result<std::unique_ptr<Cursor>> opened = open(lo, hi, nullptr);
+    Result<std::unique_ptr<sql::RowCursor>> opened = open(lo, hi, nullptr);
     if (!opened.ok() && unknown_id(opened.status())) {
-      return std::unique_ptr<Cursor>(
-          std::make_unique<EmptyCursor<Cursor, Item>>());
+      return std::unique_ptr<sql::RowCursor>(std::make_unique<EmptyCursor>());
     }
     return opened;
   }
   Result<ScanTarget> target = reader->ResolveScan(schema_type, id);
   if (!target.ok() && unknown_id(target.status())) {
-    return std::unique_ptr<Cursor>(
-        std::make_unique<EmptyCursor<Cursor, Item>>());
+    return std::unique_ptr<sql::RowCursor>(std::make_unique<EmptyCursor>());
   }
   ODH_RETURN_IF_ERROR(target.status());
-  return std::unique_ptr<Cursor>(std::make_unique<WindowedCursor<Cursor, Item>>(
+  return std::unique_ptr<sql::RowCursor>(std::make_unique<WindowedCursor>(
       TimeWindows(reader, std::move(*target), lo, hi, *spec.order_limit,
                   spec.counters),
-      std::move(open), passed_rows));
+      std::move(open)));
 }
 
 }  // namespace
@@ -293,7 +265,7 @@ OdhVirtualTable::Pushdown OdhVirtualTable::ExtractPushdown(
   std::set<int> tags;
   // A constraint is "absorbed" when the pushdown applies it exactly
   // (equals wins over range bounds, mirroring DatumSatisfies). Anything
-  // else leaves a residual re-check, which only the row path performs.
+  // else leaves a residual re-check on every assembled row.
   for (const sql::ColumnConstraint& c : spec.constraints) {
     if (c.column == kIdColumn) {
       if (c.equals.has_value() && c.equals->is_int64()) {
@@ -382,47 +354,13 @@ OdhVirtualTable::Pushdown OdhVirtualTable::ExtractPushdown(
 Result<std::unique_ptr<sql::RowCursor>> OdhVirtualTable::Scan(
     const sql::ScanSpec& spec) {
   const Pushdown push = ExtractPushdown(spec);
-  OpenRangeFn<sql::RowCursor> open =
+  std::vector<sql::ColumnConstraint> residual;
+  if (!push.absorbed) residual = spec.constraints;
+  OpenRangeFn open =
       [reader = reader_, schema_type = schema_type_, num_tags = num_tags_,
-       push, spec](Timestamp lo, Timestamp hi, const ScanTarget* window)
+       push, counters = spec.counters, residual = std::move(residual)](
+          Timestamp lo, Timestamp hi, const ScanTarget* window)
       -> Result<std::unique_ptr<sql::RowCursor>> {
-    std::unique_ptr<RecordCursor> cursor;
-    if (push.id >= 0) {
-      ODH_ASSIGN_OR_RETURN(
-          cursor, reader->OpenHistorical(schema_type, push.id, lo, hi,
-                                         push.wanted_tags, push.tag_filters,
-                                         spec.counters, window));
-    } else {
-      ODH_ASSIGN_OR_RETURN(
-          cursor, reader->OpenSlice(schema_type, lo, hi, push.wanted_tags,
-                                    push.tag_filters, spec.counters, window));
-    }
-    return std::unique_ptr<sql::RowCursor>(
-        std::make_unique<VirtualTableCursor>(std::move(cursor), spec,
-                                             num_tags));
-  };
-  return OpenTimeRange<sql::RowCursor, Row>(
-      reader_, schema_type_, push.id, push.lo, push.hi, spec, std::move(open),
-      [](const Row&) -> int64_t { return 1; });
-}
-
-bool OdhVirtualTable::SupportsBatchScan(const sql::ScanSpec& spec) const {
-  if (!config_->options().enable_vectorized_scan) return false;
-  return ExtractPushdown(spec).absorbed;
-}
-
-Result<std::unique_ptr<sql::BatchCursor>> OdhVirtualTable::ScanBatches(
-    const sql::ScanSpec& spec) {
-  const Pushdown push = ExtractPushdown(spec);
-  if (!config_->options().enable_vectorized_scan || !push.absorbed) {
-    return Status::Unimplemented(
-        "scan spec not fully absorbed; use the row path");
-  }
-  OpenRangeFn<sql::BatchCursor> open =
-      [reader = reader_, schema_type = schema_type_, num_tags = num_tags_,
-       push, counters = spec.counters](Timestamp lo, Timestamp hi,
-                                       const ScanTarget* window)
-      -> Result<std::unique_ptr<sql::BatchCursor>> {
     std::unique_ptr<RecordBatchCursor> cursor;
     if (push.id >= 0) {
       ODH_ASSIGN_OR_RETURN(
@@ -435,23 +373,20 @@ Result<std::unique_ptr<sql::BatchCursor>> OdhVirtualTable::ScanBatches(
                                            push.wanted_tags, push.tag_filters,
                                            counters, window));
     }
-    return std::unique_ptr<sql::BatchCursor>(
-        std::make_unique<VirtualTableBatchCursor>(std::move(cursor),
-                                                  push.tag_filters, num_tags));
+    std::unique_ptr<sql::RowCursor> rows =
+        sql::MakeBatchRowAdapter(std::make_unique<VirtualTableBatchCursor>(
+            std::move(cursor), push.tag_filters, num_tags));
+    if (residual.empty()) return rows;
+    return std::unique_ptr<sql::RowCursor>(
+        std::make_unique<ResidualCursor>(std::move(rows), residual));
   };
-  return OpenTimeRange<sql::BatchCursor, sql::ColumnBatch>(
-      reader_, schema_type_, push.id, push.lo, push.hi, spec, std::move(open),
-      [](const sql::ColumnBatch& batch) {
-        return static_cast<int64_t>(batch.selected());
-      });
+  return OpenTimeRange(reader_, schema_type_, push.id, push.lo, push.hi, spec,
+                       std::move(open));
 }
 
 Result<std::optional<Row>> OdhVirtualTable::AggregateScan(
     const sql::ScanSpec& spec,
     const std::vector<sql::AggregateRequest>& requests) {
-  if (!config_->options().enable_aggregate_pushdown) {
-    return std::optional<Row>();
-  }
   Pushdown push = ExtractPushdown(spec);
   if (!push.absorbed) return std::optional<Row>();
   // Classify the requests: COUNT(*) and COUNT(id|ts) need only the

@@ -18,9 +18,10 @@ namespace odh::core {
 ///
 /// Pushed-down constraints on `id` (equality) and `timestamp` (range)
 /// select the historical/slice read path; the projection restricts which
-/// tag sections of each ValueBlob are decoded. Remaining constraints are
-/// applied after row assembly — the per-row Datum materialization here is
-/// the "VTI overhead" the paper measures against the native read path.
+/// tag sections of each ValueBlob are decoded, and numeric tag ranges run
+/// as kernels over each decoded batch. Remaining constraints are applied
+/// after row assembly — the per-row Datum materialization here is the
+/// "VTI overhead" the paper measures against the native read path.
 class OdhVirtualTable : public sql::TableProvider {
  public:
   OdhVirtualTable(std::string name, int schema_type, ConfigComponent* config,
@@ -29,26 +30,18 @@ class OdhVirtualTable : public sql::TableProvider {
   const std::string& name() const override { return name_; }
   const relational::Schema& schema() const override { return schema_; }
 
+  /// Reads one tag-major batch per decoded ValueBlob, runs the pushed tag
+  /// predicates as vectorized range kernels over it, and assembles rows
+  /// only for the survivors. Constraints the pushdown does not absorb are
+  /// re-checked on each assembled row.
   Result<std::unique_ptr<sql::RowCursor>> Scan(
-      const sql::ScanSpec& spec) override;
-
-  /// Batch path: available when vectorized scans are enabled and every
-  /// constraint in `spec` is fully absorbed by the pushdown (id equality,
-  /// timestamp range, numeric tag ranges) — absorbed constraints are
-  /// applied exactly by the reader plus vectorized filter kernels, so no
-  /// per-row re-check remains.
-  bool SupportsBatchScan(const sql::ScanSpec& spec) const override;
-
-  /// One tag-major ColumnBatch per decoded ValueBlob; tag predicates run
-  /// as vectorized range kernels that populate the selection vector.
-  Result<std::unique_ptr<sql::BatchCursor>> ScanBatches(
       const sql::ScanSpec& spec) override;
 
   /// Aggregate pushdown into the reader: blobs fully covered by the time
   /// range whose v2 zone map proves every row passes the tag filters are
   /// answered from the summary without decompression. Returns nullopt
-  /// when disabled, when a constraint is not fully absorbed, or when a
-  /// request shape is unsupported (value aggregates over id/timestamp).
+  /// when a constraint is not fully absorbed or a request shape is
+  /// unsupported (value aggregates over id/timestamp).
   Result<std::optional<Row>> AggregateScan(
       const sql::ScanSpec& spec,
       const std::vector<sql::AggregateRequest>& requests) override;
@@ -79,8 +72,7 @@ class OdhVirtualTable : public sql::TableProvider {
     std::vector<TagFilter> tag_filters;  // Zone-map pruning candidates.
     double tag_fraction = 1.0;
     /// True when every constraint is applied *exactly* by the pushdown
-    /// (no residual row-level re-check needed). Gates the batch path and
-    /// aggregate pushdown.
+    /// (no residual row-level re-check needed). Gates aggregate pushdown.
     bool absorbed = true;
   };
   Pushdown ExtractPushdown(const sql::ScanSpec& spec) const;

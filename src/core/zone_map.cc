@@ -105,6 +105,9 @@ Result<ZoneMap> ZoneMap::Decode(Slice input) {
   }
   uint32_t n;
   if (!GetVarint32(&input, &n)) return Status::Corruption("zone map count");
+  // Every entry takes at least its flag byte: a count past the bytes left
+  // is corrupt, and must not size the allocation below.
+  if (n > input.size()) return Status::Corruption("zone map count");
   map.entries_.resize(n);
   for (uint32_t t = 0; t < n; ++t) {
     if (input.empty()) return Status::Corruption("zone map flag");

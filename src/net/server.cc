@@ -323,6 +323,24 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
   std::map<uint64_t, std::shared_ptr<const sql::PreparedStatement>> stmts;
   uint64_t next_stmt_id = 1;
 
+  // net.request_micros records each request once, before the last frame
+  // of its reply is sent: a client holding that frame already sees the
+  // sample. Requests that end without a reply frame record at loop end.
+  Stopwatch request_timer;
+  bool request_recorded = false;
+  auto record_request = [&] {
+    if (request_recorded) return;
+    request_recorded = true;
+    if (request_micros_metric_ != nullptr) {
+      request_micros_metric_->Observe(request_timer.ElapsedMicros());
+    }
+  };
+  // Sends the last frame of a request's reply.
+  auto reply = [&](FrameType type, const std::string& payload) -> bool {
+    record_request();
+    return send(type, payload);
+  };
+
   // Streams the result of one statement back as Header RowBatch* Done.
   // Returns false when the socket broke (caller hangs up).
   auto stream_result = [&](sql::QueryStream* stream) -> bool {
@@ -337,7 +355,7 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
       if (!more.ok()) {
         // Mid-stream failure: the rows already sent stand; the error frame
         // tells the client the stream is poisoned, the session lives on.
-        return send(FrameType::kError, EncodeError(more.status()));
+        return reply(FrameType::kError, EncodeError(more.status()));
       }
       if (more.value()) {
         batch.push_back(std::move(row));
@@ -362,7 +380,7 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
     done.path = stream->profile().path;
     done.plan_micros = stream->profile().plan_micros;
     done.total_micros = stream->profile().total_micros;
-    return send(FrameType::kDone, EncodeDone(done));
+    return reply(FrameType::kDone, EncodeDone(done));
   };
 
   while (true) {
@@ -373,7 +391,8 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
       return;
     }
     slot->in_statement.store(true, std::memory_order_release);
-    Stopwatch request_timer;
+    request_timer.Restart();
+    request_recorded = false;
     bool session_over = false;
     switch (frame.type) {
       case FrameType::kQuery: {
@@ -385,7 +404,8 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
         }
         auto stream = session.ExecuteStreaming(sql, params);
         if (!stream.ok()) {
-          session_over = !send(FrameType::kError, EncodeError(stream.status()));
+          session_over =
+              !reply(FrameType::kError, EncodeError(stream.status()));
           break;
         }
         session_over = !stream_result(stream.value().get());
@@ -401,12 +421,12 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
         auto prepared = session.Prepare(sql);
         if (!prepared.ok()) {
           session_over =
-              !send(FrameType::kError, EncodeError(prepared.status()));
+              !reply(FrameType::kError, EncodeError(prepared.status()));
           break;
         }
         const uint64_t id = next_stmt_id++;
         stmts[id] = prepared.value();
-        session_over = !send(
+        session_over = !reply(
             FrameType::kPrepared,
             EncodePrepared(
                 id, static_cast<uint32_t>(prepared.value()->param_count()),
@@ -422,14 +442,15 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
         }
         auto it = stmts.find(id);
         if (it == stmts.end()) {
-          session_over = !send(
+          session_over = !reply(
               FrameType::kError,
               EncodeError(Status::NotFound("no such prepared statement")));
           break;
         }
         auto stream = session.ExecuteStreamingPrepared(it->second, params);
         if (!stream.ok()) {
-          session_over = !send(FrameType::kError, EncodeError(stream.status()));
+          session_over =
+              !reply(FrameType::kError, EncodeError(stream.status()));
           break;
         }
         session_over = !stream_result(stream.value().get());
@@ -452,11 +473,11 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
         }
         if (options_.role != ServerRole::kPrimary ||
             options_.replication == nullptr) {
-          send(FrameType::kError,
-               EncodeError(Status::FailedPrecondition(
-                   options_.role != ServerRole::kPrimary
-                       ? "replication subscribe on a replica"
-                       : "server has no replication source")));
+          reply(FrameType::kError,
+                EncodeError(Status::FailedPrecondition(
+                    options_.role != ServerRole::kPrimary
+                        ? "replication subscribe on a replica"
+                        : "server has no replication source")));
           session_over = true;
           break;
         }
@@ -468,7 +489,7 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
             &transport, from_lsn,
             [this] { return state() != ServerState::kRunning; });
         if (!served.ok() && transport.valid()) {
-          send(FrameType::kError, EncodeError(served));
+          reply(FrameType::kError, EncodeError(served));
         }
         session_over = true;
         break;
@@ -481,9 +502,7 @@ void HistorianServer::ServeConnection(SessionSlot* slot,
         break;
     }
     slot->in_statement.store(false, std::memory_order_release);
-    if (request_micros_metric_ != nullptr) {
-      request_micros_metric_->Observe(request_timer.ElapsedMicros());
-    }
+    record_request();
     if (session_over) return;
     // Graceful drain (or stop): this statement was allowed to finish.
     if (state() != ServerState::kRunning) return;

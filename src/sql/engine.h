@@ -32,9 +32,10 @@ struct MemoryBudgets {
 /// Execution profile of one SELECT: which scan path actually ran and how
 /// much blob I/O it did. `path` is derived from runtime evidence after the
 /// statement finishes — "summary-pushdown" when the provider answered the
-/// aggregates, "vectorized-batch" when ColumnBatches flowed, "row-scan"
-/// otherwise — so it can never disagree with what executed (the planner's
-/// EXPLAIN text only names candidates). Retrievable inline via
+/// aggregates, "vectorized-batch" when a virtual table's ColumnBatches
+/// flowed, "row-scan" otherwise (relational tables, or no batch at all) —
+/// so it can never disagree with what executed (the planner's EXPLAIN
+/// text only names candidates). Retrievable inline via
 /// `EXPLAIN PROFILE <stmt>` and historically via the odh_queries table.
 struct QueryProfile {
   std::string statement;

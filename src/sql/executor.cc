@@ -1,7 +1,6 @@
 #include "sql/executor.h"
 
 #include "common/key_codec.h"
-#include "sql/vectorized.h"
 
 namespace odh::sql {
 namespace {
@@ -25,14 +24,6 @@ std::string DescribeSpec(const ScanSpec& spec) {
 // ScanNode -------------------------------------------------------------------
 
 Status ScanNode::Open() {
-  // Prefer the columnar path: the provider streams tag-major batches with
-  // vectorized filtering, and the adapter re-materializes rows only for
-  // the rows that survived (no Datum boxing for filtered-out rows).
-  if (provider_->SupportsBatchScan(spec_)) {
-    ODH_ASSIGN_OR_RETURN(auto batches, provider_->ScanBatches(spec_));
-    cursor_ = MakeBatchRowAdapter(std::move(batches));
-    return Status::OK();
-  }
   ODH_ASSIGN_OR_RETURN(cursor_, provider_->Scan(spec_));
   return Status::OK();
 }
@@ -52,9 +43,7 @@ void ScanNode::Describe(int indent, std::string* out) const {
   Indent(indent, out);
   *out += "Scan(" + provider_->name();
   if (alias_ != provider_->name()) *out += " AS " + alias_;
-  *out += ", " + DescribeSpec(spec_);
-  if (provider_->SupportsBatchScan(spec_)) *out += ", batch";
-  *out += ")\n";
+  *out += ", " + DescribeSpec(spec_) + ")\n";
 }
 
 // FilterNode -----------------------------------------------------------------

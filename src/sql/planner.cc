@@ -501,9 +501,8 @@ Result<PhysicalPlan> PlanSelect(const BoundSelect& bound,
   // 4. Aggregate pushdown candidate: a single-table, ungrouped aggregate
   // whose WHERE went entirely into the scan spec and whose outputs touch
   // columns only through aggregates can skip row materialization — the
-  // provider may answer from per-blob summaries, or the engine from
-  // vectorized batch accumulation. The row plan under `root` stays the
-  // fallback.
+  // provider may answer from per-blob summaries. The row plan under
+  // `root` stays the fallback.
   if (num_tables == 1 && residual.empty() && bound.has_aggregates &&
       bound.group_by.empty()) {
     bool eligible = true;

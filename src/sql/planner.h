@@ -16,9 +16,9 @@ namespace odh::sql {
 /// pushed into the scan, the planner additionally emits an aggregate
 /// pushdown candidate: `agg_requests` (aligned 1:1 with `agg_exprs`, the
 /// AggregateExpr nodes in plan order) that the engine first offers to
-/// `agg_provider` via AggregateScan, then to the vectorized batch
-/// aggregator, before falling back to the row-at-a-time loop under
-/// `root`. `agg_provider` is nullptr when the query is not a candidate.
+/// `agg_provider` via AggregateScan, before falling back to the engine's
+/// fold over the rows of `root`. `agg_provider` is nullptr when the query
+/// is not a candidate.
 struct PhysicalPlan {
   PlanNodePtr root;
   std::string explain;

@@ -10,7 +10,6 @@
 #include "common/memory.h"
 #include "common/types.h"
 #include "sql/parser.h"
-#include "sql/vectorized.h"
 #include "storage/spill_file.h"
 
 namespace odh::sql {
@@ -135,18 +134,6 @@ Result<Datum> CoerceForColumn(const Datum& value, DataType type) {
   }
   return Status::InvalidArgument("cannot coerce " + value.ToString() +
                                  " to " + DataTypeName(type));
-}
-
-/// Accounting estimate for one ColumnBatch's working set.
-int64_t ApproxBatchBytes(const ColumnBatch& batch) {
-  int64_t n = static_cast<int64_t>(sizeof(ColumnBatch));
-  n += static_cast<int64_t>(batch.ids.capacity() * sizeof(SourceId));
-  n += static_cast<int64_t>(batch.timestamps.capacity() * sizeof(Timestamp));
-  for (const auto& tag : batch.tags) {
-    n += static_cast<int64_t>(sizeof(tag) + tag.capacity() * sizeof(double));
-  }
-  n += static_cast<int64_t>(batch.sel.capacity() * sizeof(int32_t));
-  return n;
 }
 
 /// Builds the budget-governed sorter every ORDER BY runs through. The
@@ -315,48 +302,18 @@ Status QueryStream::Init(double prior_micros, bool prepared) {
       prior_micros + static_cast<double>(plan_timer.ElapsedMicros());
   explain_ = plan_.explain;
 
-  // Aggregate pushdown / vectorized accumulation: try the fast paths the
-  // planner flagged before opening the row plan (opening a scan already
-  // fetches and decodes blobs). First offer the whole aggregate to the
-  // provider — it may answer from per-blob summaries without touching the
-  // data — then accumulate over ColumnBatches; the row loop in
-  // RunBuffered stays the fallback and the single source of truth for
-  // semantics.
+  // Aggregate pushdown: offer the whole aggregate to the provider before
+  // opening the row plan (opening a scan already fetches and decodes
+  // blobs) — it may answer from per-blob summaries without touching the
+  // data. Whatever it declines folds over the scanned rows in RunBuffered,
+  // which stays the single source of truth for semantics.
   if (plan_.agg_provider != nullptr) {
     std::optional<Row> agg_row;
     ODH_ASSIGN_OR_RETURN(
         agg_row, plan_.agg_provider->AggregateScan(plan_.agg_spec,
                                                    plan_.agg_requests));
-    if (agg_row.has_value()) profile_.path = "summary-pushdown";
-    if (!agg_row.has_value() &&
-        VectorizedAggregatable(plan_.agg_requests) &&
-        plan_.agg_provider->SupportsBatchScan(plan_.agg_spec)) {
-      ODH_ASSIGN_OR_RETURN(auto batches,
-                           plan_.agg_provider->ScanBatches(plan_.agg_spec));
-      BatchAggregator aggregator(plan_.agg_requests);
-      // The vectorized working set — aggregator state plus the reusable
-      // batch at its high-water capacity — is charged to the query budget.
-      common::ScopedReservation batch_reserved(mem_.get());
-      ODH_RETURN_IF_ERROR(batch_reserved.Reserve(
-          static_cast<int64_t>(sizeof(BatchAggregator)) +
-          static_cast<int64_t>(plan_.agg_requests.size()) * 64));
-      int64_t batch_high_water = 0;
-      ColumnBatch batch;
-      while (true) {
-        ODH_ASSIGN_OR_RETURN(bool more, batches->Next(&batch));
-        if (!more) break;
-        const int64_t batch_bytes = ApproxBatchBytes(batch);
-        if (batch_bytes > batch_high_water) {
-          ODH_RETURN_IF_ERROR(
-              batch_reserved.Reserve(batch_bytes - batch_high_water));
-          batch_high_water = batch_bytes;
-        }
-        aggregator.Accumulate(batch);
-      }
-      agg_row = aggregator.Finalize();
-      if (agg_row.has_value()) profile_.path = "vectorized-batch";
-    }
     if (agg_row.has_value()) {
+      profile_.path = "summary-pushdown";
       std::map<const Expr*, Datum> agg_values;
       for (size_t i = 0; i < plan_.agg_exprs.size(); ++i) {
         agg_values[plan_.agg_exprs[i]] = (*agg_row)[i];
@@ -626,8 +583,8 @@ void QueryStream::Finish() {
     profile_.repl_staleness_micros = repl.staleness_micros;
   }
   // The executed-path label comes from runtime evidence, not the plan:
-  // Init stamps the aggregate fast paths; otherwise batches flowing
-  // through the scan prove the vectorized path ran.
+  // Init stamps the summary pushdown; otherwise batches flowing through
+  // a scan show a virtual table was read.
   if (profile_.path.empty()) {
     profile_.path = profile_.batches > 0 ? "vectorized-batch" : "row-scan";
   }

@@ -83,54 +83,6 @@ class RowCursor {
   virtual Result<bool> Next(Row* row) = 0;
 };
 
-/// One decoded ValueBlob in columnar (tag-major) form — the batch contract
-/// of the vectorized execution path. Column 0 of the table maps to `ids`,
-/// column 1 to `timestamps`, and table column `2 + t` to `tags[t]`.
-///
-/// Contract:
-///  - `timestamps.size()` is the batch row count.
-///  - `ids` is either full-size or empty; empty means every row shares
-///    `uniform_id` (the common case: one blob = one source).
-///  - Each `tags[t]` is either full-size (NaN = SQL NULL) or empty; empty
-///    means the column was not projected and reads as all-NULL. This is
-///    where the blob layout saves work: unprojected tags are never decoded.
-///  - `sel` is the selection vector produced by vectorized filtering:
-///    ascending row indexes that passed every pushed-down constraint. When
-///    `sel_all` is true the whole batch passed and `sel` is not populated.
-struct ColumnBatch {
-  SourceId uniform_id = -1;
-  std::vector<SourceId> ids;
-  std::vector<Timestamp> timestamps;
-  std::vector<std::vector<double>> tags;
-  std::vector<int32_t> sel;
-  bool sel_all = true;
-
-  size_t rows() const { return timestamps.size(); }
-  size_t selected() const { return sel_all ? rows() : sel.size(); }
-  SourceId id_at(size_t i) const { return ids.empty() ? uniform_id : ids[i]; }
-  void clear() {
-    uniform_id = -1;
-    ids.clear();
-    timestamps.clear();
-    tags.clear();
-    sel.clear();
-    sel_all = true;
-  }
-};
-
-/// Pull-based batch stream: one decoded blob (or dirty-buffer slice) per
-/// call, with constraints already applied via the selection vector.
-/// Subject to the same poison contract as RowCursor: after a non-OK
-/// Result, every further Next returns the same error.
-class BatchCursor {
- public:
-  virtual ~BatchCursor() = default;
-  /// Produces the next batch into *batch; returns false at end of stream.
-  /// Batches may be empty after filtering (selected() == 0); callers must
-  /// keep pulling until the cursor reports end of stream.
-  virtual Result<bool> Next(ColumnBatch* batch) = 0;
-};
-
 /// Aggregate functions a provider can absorb (aggregate pushdown).
 enum class AggregateOp { kCountStar, kCount, kSum, kAvg, kMin, kMax };
 
@@ -162,19 +114,6 @@ class TableProvider {
   virtual const relational::Schema& schema() const = 0;
 
   virtual Result<std::unique_ptr<RowCursor>> Scan(const ScanSpec& spec) = 0;
-
-  /// True if the provider can serve `spec` through ScanBatches. The default
-  /// provider is row-oriented.
-  virtual bool SupportsBatchScan(const ScanSpec& spec) const { return false; }
-
-  /// Columnar scan: emits one ColumnBatch per decoded blob with `spec`'s
-  /// constraints applied via the selection vector. Only valid when
-  /// SupportsBatchScan(spec) is true.
-  virtual Result<std::unique_ptr<BatchCursor>> ScanBatches(
-      const ScanSpec& spec) {
-    (void)spec;
-    return Status::Unimplemented("provider has no batch scan");
-  }
 
   /// Aggregate pushdown: computes `requests` over the rows selected by
   /// `spec` and returns one row of results (Datums aligned with

@@ -46,85 +46,6 @@ void FilterByRange(const std::vector<double>& column, double min, double max,
   batch->sel_all = false;
 }
 
-bool VectorizedAggregatable(const std::vector<AggregateRequest>& requests) {
-  for (const AggregateRequest& req : requests) {
-    switch (req.op) {
-      case AggregateOp::kCountStar:
-        break;
-      case AggregateOp::kCount:
-        if (req.column < 0) return false;
-        break;
-      default:
-        // Value aggregates only over DOUBLE tag columns.
-        if (req.column < 2) return false;
-        break;
-    }
-  }
-  return true;
-}
-
-void BatchAggregator::Accumulate(const ColumnBatch& batch) {
-  const size_t selected = batch.selected();
-  if (selected == 0) return;
-  for (size_t r = 0; r < requests_.size(); ++r) {
-    const AggregateRequest& req = requests_[r];
-    State& st = states_[r];
-    // id/timestamp are never NULL, so COUNT over them (and COUNT(*)) is
-    // just the selected row count.
-    if (req.op == AggregateOp::kCountStar || req.column < 2) {
-      st.count += static_cast<int64_t>(selected);
-      continue;
-    }
-    const size_t tag = static_cast<size_t>(req.column - 2);
-    if (tag >= batch.tags.size() || batch.tags[tag].size() < batch.rows()) {
-      continue;  // Unprojected column: all NULL, contributes nothing.
-    }
-    const std::vector<double>& col = batch.tags[tag];
-    auto add = [&st](double v) {
-      if (std::isnan(v)) return;
-      ++st.count;
-      st.sum += v;
-      if (!st.has_value || v < st.min) st.min = v;
-      if (!st.has_value || v > st.max) st.max = v;
-      st.has_value = true;
-    };
-    if (batch.sel_all) {
-      for (size_t i = 0; i < batch.rows(); ++i) add(col[i]);
-    } else {
-      for (int32_t i : batch.sel) add(col[static_cast<size_t>(i)]);
-    }
-  }
-}
-
-Row BatchAggregator::Finalize() const {
-  Row row;
-  row.reserve(requests_.size());
-  for (size_t r = 0; r < requests_.size(); ++r) {
-    const State& st = states_[r];
-    switch (requests_[r].op) {
-      case AggregateOp::kCountStar:
-      case AggregateOp::kCount:
-        row.push_back(Datum::Int64(st.count));
-        break;
-      case AggregateOp::kSum:
-        row.push_back(st.count > 0 ? Datum::Double(st.sum) : Datum::Null());
-        break;
-      case AggregateOp::kAvg:
-        row.push_back(st.count > 0
-                          ? Datum::Double(st.sum / static_cast<double>(st.count))
-                          : Datum::Null());
-        break;
-      case AggregateOp::kMin:
-        row.push_back(st.has_value ? Datum::Double(st.min) : Datum::Null());
-        break;
-      case AggregateOp::kMax:
-        row.push_back(st.has_value ? Datum::Double(st.max) : Datum::Null());
-        break;
-    }
-  }
-  return row;
-}
-
 namespace {
 
 /// Row-at-a-time view over a batch stream (see MakeBatchRowAdapter).

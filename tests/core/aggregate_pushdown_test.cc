@@ -2,16 +2,21 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "common/logging.h"
 #include "core/odh.h"
+#include "relational_twin.h"
 
 namespace odh::core {
 namespace {
 
 /// 10 RTS blobs of 50 points each for source 1: one point per second
 /// (SQL timestamp literals have second granularity), temp = i
-/// (integer-valued, so double sums are FP-exact), load = 5.
+/// (integer-valued, so double sums are FP-exact), load = 5. `m_r` is the
+/// relational twin: the engine's own fold over the same rows.
 class AggregatePushdownTest : public ::testing::Test {
  protected:
   AggregatePushdownTest() {
@@ -25,6 +30,7 @@ class AggregatePushdownTest : public ::testing::Test {
       ODH_CHECK_OK(odh_->Ingest({1, i * kMicrosPerSecond, {1.0 * i, 5.0}}));
     }
     ODH_CHECK_OK(odh_->FlushAll());
+    MakeRelationalTwin(odh_.get(), "m_v", "m_r");
   }
 
   std::string TsLiteral(Timestamp ts) {
@@ -125,11 +131,12 @@ TEST_F(AggregatePushdownTest, PushdownOffMatchesRowAtATimeExactly) {
       TsLiteral(25 * kMicrosPerSecond) + " AND " +
       TsLiteral(474 * kMicrosPerSecond);
   auto pushed = odh_->engine()->Execute(query);
-  odh_->config()->SetScanPathOptions(/*vectorized=*/false,
-                                     /*aggregate_pushdown=*/false);
-  auto rows = odh_->engine()->Execute(query);
+  auto rows =
+      odh_->engine()->Execute(ReplaceAll(query, "FROM m_v", "FROM m_r"));
   ASSERT_TRUE(pushed.ok());
   ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(pushed->profile.path, "summary-pushdown");
+  EXPECT_EQ(rows->profile.path, "row-scan");
   ASSERT_EQ(pushed->rows.size(), 1u);
   ASSERT_EQ(rows->rows.size(), 1u);
   for (size_t c = 0; c < rows->rows[0].size(); ++c) {
@@ -154,6 +161,7 @@ TEST_F(AggregatePushdownTest, LossyBlobsAnswerValueAggregatesFromDecode) {
     ODH_CHECK_OK(lossy.Ingest({1, i * kMicrosPerSecond, {0.3 + 1.0 * i}}));
   }
   ODH_CHECK_OK(lossy.FlushAll());
+  MakeRelationalTwin(&lossy, "m_v", "m_r");
 
   const char* query =
       "SELECT SUM(temp), MIN(temp), MAX(temp) FROM m_v WHERE id = 1";
@@ -164,9 +172,9 @@ TEST_F(AggregatePushdownTest, LossyBlobsAnswerValueAggregatesFromDecode) {
   EXPECT_EQ(lossy.reader()->stats().blobs_skipped_by_summary, 0);
   EXPECT_EQ(lossy.reader()->stats().blobs_decoded, 10);
 
-  lossy.config()->SetScanPathOptions(/*vectorized=*/false,
-                                     /*aggregate_pushdown=*/false);
-  auto scanned = lossy.engine()->Execute(query);
+  // The engine's fold over the decoded rows, held in the twin.
+  auto scanned =
+      lossy.engine()->Execute(ReplaceAll(query, "FROM m_v", "FROM m_r"));
   ASSERT_TRUE(scanned.ok());
   for (size_t c = 0; c < scanned->rows[0].size(); ++c) {
     EXPECT_EQ(pushed->rows[0][c], scanned->rows[0][c]) << "column " << c;
@@ -174,7 +182,6 @@ TEST_F(AggregatePushdownTest, LossyBlobsAnswerValueAggregatesFromDecode) {
 
   // Counts stay summary-answerable under lossy compression: codecs
   // preserve which values are missing, only their magnitudes move.
-  lossy.config()->SetScanPathOptions(true, true);
   lossy.reader()->ResetStats();
   auto counts = lossy.engine()->Execute(
       "SELECT COUNT(*), COUNT(temp) FROM m_v WHERE id = 1");
@@ -194,21 +201,30 @@ TEST_F(AggregatePushdownTest, PathLabelMatchesExecutedPath) {
   const std::string query =
       "SELECT COUNT(*), SUM(temp) FROM m_v WHERE id = 1";
   struct Case {
-    bool vectorized;
-    bool pushdown;
+    std::string sql;
     const char* label;
   };
-  for (const Case& c : {Case{true, true, "summary-pushdown"},
-                        Case{true, false, "vectorized-batch"},
-                        Case{false, false, "row-scan"}}) {
-    odh_->config()->SetScanPathOptions(c.vectorized, c.pushdown);
-    auto r = odh_->engine()->Execute(query);
-    ASSERT_TRUE(r.ok()) << c.label;
-    EXPECT_EQ(r->profile.path, c.label);
+  // The pushdown answers the plain query; an expression argument or a
+  // constraint it does not absorb folds over the virtual table's batches;
+  // the relational twin folds over plain rows. All three agree.
+  const std::vector<Case> cases = {
+      {query, "summary-pushdown"},
+      {"SELECT COUNT(*), SUM(temp + 0) FROM m_v WHERE id = 1",
+       "vectorized-batch"},
+      {ReplaceAll(query, "id = 1", "id BETWEEN 1 AND 1"), "vectorized-batch"},
+      {ReplaceAll(query, "FROM m_v", "FROM m_r"), "row-scan"}};
+  std::optional<Row> first;
+  for (const Case& c : cases) {
+    auto r = odh_->engine()->Execute(c.sql);
+    ASSERT_TRUE(r.ok()) << c.sql;
+    EXPECT_EQ(r->profile.path, c.label) << c.sql;
     EXPECT_NE(r->explain.find(std::string("path: ") + c.label),
               std::string::npos)
         << "explain missing its path line:\n"
         << r->explain;
+    ASSERT_EQ(r->rows.size(), 1u) << c.sql;
+    if (!first.has_value()) first = r->rows[0];
+    EXPECT_EQ(r->rows[0], *first) << c.sql;
     // Each label is backed by the evidence that names it.
     const std::string label = c.label;
     if (label == "summary-pushdown") {
@@ -219,10 +235,9 @@ TEST_F(AggregatePushdownTest, PathLabelMatchesExecutedPath) {
       EXPECT_EQ(r->profile.blobs_skipped_by_summary, 0);
     } else {
       EXPECT_EQ(r->profile.batches, 0);
-      EXPECT_GT(r->profile.rows_scanned, 0);
+      EXPECT_EQ(r->profile.blobs_decoded, 0);
     }
   }
-  odh_->config()->SetScanPathOptions(true, true);
 
   // EXPLAIN PROFILE reports the same label in its first metric row.
   auto ep = odh_->engine()->Execute("EXPLAIN PROFILE " + query);
@@ -233,10 +248,24 @@ TEST_F(AggregatePushdownTest, PathLabelMatchesExecutedPath) {
   EXPECT_EQ(ep->rows[0][1], Datum::String("summary-pushdown"));
 }
 
+/// The three ways a single-table aggregate over `m_v` can run, as queries
+/// returning the same answer: the summary pushdown (`query` itself), the
+/// engine's fold over the virtual table's batches (the id equality turned
+/// into a range the pushdown does not absorb, so every row is re-checked)
+/// and the fold over the relational twin `m_r`.
+std::vector<std::string> EveryPath(const std::string& query, SourceId id) {
+  const std::string eq = "id = " + std::to_string(id);
+  return {query,
+          ReplaceAll(query, eq,
+                     "id BETWEEN " + std::to_string(id) + " AND " +
+                         std::to_string(id)),
+          ReplaceAll(query, "FROM m_v", "FROM m_r")};
+}
+
 TEST(ScanPathParityTest, SumAvgOverAllNullTagIsNullOnEveryPath) {
   // Satellite regression: SUM/AVG over a tag that is NULL (NaN-encoded)
   // on every matching row must return SQL NULL — not 0 and not NaN — on
-  // the summary fast path, the vectorized path, and the row path alike.
+  // the summary fast path, the fold over batches, and the row fold alike.
   OdhOptions options;
   options.batch_size = 50;
   options.sql_metadata_router = false;
@@ -249,37 +278,34 @@ TEST(ScanPathParityTest, SumAvgOverAllNullTagIsNullOnEveryPath) {
     ODH_CHECK_OK(odh.Ingest({1, i * kMicrosPerSecond, {1.0 * i, kHole}}));
   }
   ODH_CHECK_OK(odh.FlushAll());
+  MakeRelationalTwin(&odh, "m_v", "m_r");
 
-  const std::vector<std::string> queries = {
-      // All-NULL tag over the whole series.
+  const std::string aggregates =
       "SELECT COUNT(*), COUNT(load), SUM(load), AVG(load), MIN(load), "
-      "MAX(load) FROM m_v WHERE id = 1",
-      // Empty input: no rows match at all.
-      "SELECT COUNT(*), COUNT(load), SUM(load), AVG(load), MIN(load), "
-      "MAX(load) FROM m_v WHERE id = 99",
-  };
-  for (const std::string& query : queries) {
-    for (const auto& [vec, push] : std::vector<std::pair<bool, bool>>{
-             {true, true}, {true, false}, {false, false}}) {
-      odh.config()->SetScanPathOptions(vec, push);
-      auto r = odh.engine()->Execute(query);
-      ASSERT_TRUE(r.ok()) << query;
-      ASSERT_EQ(r->rows.size(), 1u) << query;
-      EXPECT_EQ(r->rows[0][1], Datum::Int64(0))
-          << query << " vec=" << vec << " push=" << push;
+      "MAX(load) FROM m_v WHERE id = ";
+  // All-NULL tag over the whole series, then empty input: no rows match.
+  for (SourceId id : {SourceId{1}, SourceId{99}}) {
+    const std::vector<std::string> paths =
+        EveryPath(aggregates + std::to_string(id), id);
+    for (size_t p = 0; p < paths.size(); ++p) {
+      auto r = odh.engine()->Execute(paths[p]);
+      ASSERT_TRUE(r.ok()) << paths[p];
+      ASSERT_EQ(r->rows.size(), 1u) << paths[p];
+      EXPECT_EQ(r->rows[0][0], Datum::Int64(id == 1 ? 200 : 0)) << paths[p];
+      EXPECT_EQ(r->rows[0][1], Datum::Int64(0)) << paths[p];
       for (size_t c = 2; c < 6; ++c) {
         EXPECT_EQ(r->rows[0][c], Datum::Null())
-            << query << " col " << c << " vec=" << vec << " push=" << push;
+            << paths[p] << " col " << c;
       }
     }
-    odh.config()->SetScanPathOptions(true, true);
   }
 }
 
 TEST(ScanPathParityTest, NaNHolesMatchAcrossVectorizedAndRowScans) {
   // Filter parity satellite: rows whose tag is missing (NaN) must behave
-  // as SQL NULL on both scan paths — never matching a range predicate —
-  // and aggregates must agree across all three execution strategies.
+  // as SQL NULL on the batch scan — never matching a range predicate —
+  // exactly as NULLs do in the relational twin, and aggregates must agree
+  // across the pushdown, the fold over batches and the row fold.
   OdhOptions options;
   options.batch_size = 50;
   options.sql_metadata_router = false;
@@ -293,6 +319,7 @@ TEST(ScanPathParityTest, NaNHolesMatchAcrossVectorizedAndRowScans) {
     ODH_CHECK_OK(odh.Ingest({1, i * kMicrosPerSecond, {temp, 2.0 * i}}));
   }
   ODH_CHECK_OK(odh.FlushAll());
+  MakeRelationalTwin(&odh, "m_v", "m_r");
 
   const std::vector<std::string> queries = {
       "SELECT ts, temp FROM m_v WHERE id = 1 AND temp BETWEEN 50 AND 120",
@@ -301,24 +328,19 @@ TEST(ScanPathParityTest, NaNHolesMatchAcrossVectorizedAndRowScans) {
       "SELECT COUNT(*) FROM m_v WHERE id = 1 AND temp < 30",
   };
   for (const std::string& query : queries) {
-    odh.config()->SetScanPathOptions(true, true);
-    auto pushed = odh.engine()->Execute(query);
-    odh.config()->SetScanPathOptions(true, false);
-    auto vectorized = odh.engine()->Execute(query);
-    odh.config()->SetScanPathOptions(false, false);
-    auto rowwise = odh.engine()->Execute(query);
-    odh.config()->SetScanPathOptions(true, true);
-    ASSERT_TRUE(pushed.ok()) << query;
-    ASSERT_TRUE(vectorized.ok()) << query;
-    ASSERT_TRUE(rowwise.ok()) << query;
-    ASSERT_EQ(pushed->rows.size(), rowwise->rows.size()) << query;
-    ASSERT_EQ(vectorized->rows.size(), rowwise->rows.size()) << query;
-    for (size_t r = 0; r < rowwise->rows.size(); ++r) {
-      for (size_t c = 0; c < rowwise->rows[r].size(); ++c) {
-        EXPECT_EQ(pushed->rows[r][c], rowwise->rows[r][c])
-            << query << " row " << r << " col " << c;
-        EXPECT_EQ(vectorized->rows[r][c], rowwise->rows[r][c])
-            << query << " row " << r << " col " << c;
+    const std::vector<std::string> paths = EveryPath(query, 1);
+    auto reference = odh.engine()->Execute(paths.back());
+    ASSERT_TRUE(reference.ok()) << paths.back();
+    ASSERT_FALSE(reference->rows.empty()) << paths.back();
+    for (const std::string& path : paths) {
+      auto r = odh.engine()->Execute(path);
+      ASSERT_TRUE(r.ok()) << path;
+      ASSERT_EQ(r->rows.size(), reference->rows.size()) << path;
+      for (size_t row = 0; row < r->rows.size(); ++row) {
+        for (size_t c = 0; c < r->rows[row].size(); ++c) {
+          EXPECT_EQ(r->rows[row][c], reference->rows[row][c])
+              << path << " row " << row << " col " << c;
+        }
       }
     }
   }

@@ -172,28 +172,25 @@ TEST_F(CacheCoherenceTest, CachedEqualsFreshAcrossAllScanPaths) {
       "SELECT id, ts, temperature FROM env_v WHERE temperature > 23.5",
       "SELECT COUNT(*), SUM(temperature), MIN(wind), MAX(wind) "
       "FROM env_v WHERE id = 2",
+      // Constraints the pushdown does not absorb: every scanned row is
+      // re-checked, and the aggregate folds over the batch scan's rows.
+      "SELECT id, ts, temperature FROM env_v WHERE id >= 3 AND "
+      "temperature > 23.5",
+      "SELECT COUNT(*), SUM(temperature), MIN(wind), MAX(wind) "
+      "FROM env_v WHERE id BETWEEN 2 AND 2",
   };
-  for (bool vectorized : {false, true}) {
-    for (bool pushdown : {false, true}) {
-      cached_.config()->SetScanPathOptions(vectorized, pushdown);
-      fresh_.config()->SetScanPathOptions(vectorized, pushdown);
-      for (int parallelism : {0, 4}) {
-        cached_.config()->SetQueryParallelism(parallelism);
-        fresh_.config()->SetQueryParallelism(0);
-        for (const std::string& sql : queries) {
-          // Twice on the cached system: the first run fills the cache, the
-          // second is served from it. Both must equal the cache-free twin.
-          const auto first = QueryLines(&cached_, sql);
-          const auto second = QueryLines(&cached_, sql);
-          const auto reference = QueryLines(&fresh_, sql);
-          EXPECT_EQ(first, reference)
-              << sql << " vec=" << vectorized << " push=" << pushdown
-              << " par=" << parallelism;
-          EXPECT_EQ(second, reference)
-              << sql << " (warm) vec=" << vectorized << " push=" << pushdown
-              << " par=" << parallelism;
-        }
-      }
+  for (int parallelism : {0, 4}) {
+    cached_.config()->SetQueryParallelism(parallelism);
+    fresh_.config()->SetQueryParallelism(0);
+    for (const std::string& sql : queries) {
+      // Twice on the cached system: the first run fills the cache, the
+      // second is served from it. Both must equal the cache-free twin.
+      const auto first = QueryLines(&cached_, sql);
+      const auto second = QueryLines(&cached_, sql);
+      const auto reference = QueryLines(&fresh_, sql);
+      EXPECT_EQ(first, reference) << sql << " par=" << parallelism;
+      EXPECT_EQ(second, reference)
+          << sql << " (warm) par=" << parallelism;
     }
   }
 }

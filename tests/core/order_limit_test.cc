@@ -21,6 +21,7 @@
 
 #include "common/logging.h"
 #include "core/odh.h"
+#include "relational_twin.h"
 #include "sql/session.h"
 
 namespace odh::core {
@@ -40,7 +41,6 @@ struct Config {
   int query_parallelism;
   bool cache;
   enum class Mutation { kNone, kCompaction, kRetention } mutation;
-  bool vectorized = true;  // False: the row cursor serves every scan.
 };
 
 // Test discovery names each case after the printed parameter; the default
@@ -153,18 +153,8 @@ class OrderLimitTest : public ::testing::TestWithParam<Config> {
   OrderLimitTest() : odh_(OptionsFor(GetParam())), session_(odh_.engine()) {
     type_ = Define(&odh_);
     Build(&odh_, type_, GetParam().mutation);
-    odh_.config()->SetScanPathOptions(GetParam().vectorized, true);
     // The relational twin holds exactly the rows the historian serves.
-    ODH_CHECK_OK(session_
-                     .Execute("CREATE TABLE env_r (id BIGINT, ts TIMESTAMP, "
-                              "temperature DOUBLE)")
-                     .status());
-    auto insert = session_.Prepare("INSERT INTO env_r VALUES (?, ?, ?)");
-    ODH_CHECK_OK(insert.status());
-    for (const Row& row :
-         Query(&session_, "SELECT id, ts, temperature FROM env_v")) {
-      ODH_CHECK_OK(session_.ExecutePrepared(*insert, row).status());
-    }
+    MakeRelationalTwin(&odh_, "env_v", "env_r");
   }
 
   /// Runs every k of interest for one WHERE clause and direction.
@@ -233,6 +223,11 @@ TEST_P(OrderLimitTest, MatchesFullSortPrefixAndRelationalEngine) {
       " WHERE id = 3 AND ts <= " + hi,
       // A tag predicate no newest row passes: no early stop allowed.
       " WHERE id = 1 AND temperature < 25",
+      // Id ranges the pushdown does not absorb: slice scans whose rows
+      // are re-checked before the window loop counts them.
+      " WHERE id > 2",
+      " WHERE id BETWEEN 2 AND 5",
+      " WHERE id BETWEEN 2 AND 5 AND ts <= " + hi,
       // Slice scans.
       "",
       " WHERE ts <= " + hi,
@@ -271,8 +266,6 @@ INSTANTIATE_TEST_SUITE_P(
     Layouts, OrderLimitTest,
     ::testing::Values(
         Config{"SegmentedSerial", true, 0, false, Config::Mutation::kNone},
-        Config{"SegmentedRowPath", true, 4, true, Config::Mutation::kNone,
-               /*vectorized=*/false},
         Config{"SegmentedParallel", true, 4, false, Config::Mutation::kNone},
         Config{"SegmentedSerialCache", true, 0, true,
                Config::Mutation::kNone},
@@ -344,6 +337,48 @@ TEST(OrderLimitCostTest, LatestValueReadsOneSegment) {
                              "DESC",
                        "rows_scanned"),
             kSeconds);
+}
+
+/// A constraint the pushdown does not absorb (an id range) turns the scan
+/// into a slice whose rows are re-checked one by one. The window loop
+/// counts rows after that re-check: the scan still stops after the newest
+/// window when enough rows pass there, and reads on when none do.
+TEST(OrderLimitCostTest, ResidualConstraintsCountAfterTheRecheck) {
+  Config c{"", true, 0, false, Config::Mutation::kNone};
+  OdhSystem odh(OptionsFor(c));
+  const int type = Define(&odh);
+  Build(&odh, type, c.mutation);
+  const std::vector<SegmentInfo> segs = odh.store()->SegmentInfos(type);
+  ASSERT_EQ(segs.size(), 7u);
+  sql::Session session(odh.engine());
+  // Every source's rows in the newest window, dirty rows included.
+  const int64_t newest_rows =
+      Query(&session, "SELECT COUNT(*) FROM env_v WHERE ts >= " +
+                          std::to_string(segs.back().lo))[0][0]
+          .int64_value();
+
+  const auto top = [](const std::string& where, int64_t k) {
+    return "SELECT id, ts, temperature FROM env_v WHERE " + where +
+           " ORDER BY ts DESC LIMIT " + std::to_string(k);
+  };
+  // Source 2 writes through the newest segment: one window settles k.
+  for (int64_t k : {1, 50}) {
+    const std::string q = top("id BETWEEN 2 AND 2", k);
+    const std::vector<Row> rows = Query(&session, q);
+    EXPECT_EQ(rows.size(), static_cast<size_t>(k));
+    EXPECT_EQ(Render(rows), Render(Query(&session, top("id = 2", k)))) << q;
+    EXPECT_GT(ProfileRow(&odh, q, "rows_scanned"), 0) << q;
+    EXPECT_LE(ProfileRow(&odh, q, "rows_scanned"), newest_rows) << q;
+    EXPECT_GE(ProfileRow(&odh, q, "segments_pruned"), 5) << q;
+  }
+  // Source 6 stopped before the newest segment: rows of other sources
+  // fill that window but fail the re-check, so the loop must go on.
+  const std::string absent = top("id BETWEEN 6 AND 6", 1);
+  const std::vector<Row> latest = Query(&session, absent);
+  ASSERT_EQ(latest.size(), 1u);
+  EXPECT_EQ(latest[0][1], Datum::Time(Sec(kAbsentAfter - 1)));
+  EXPECT_EQ(Render(latest), Render(Query(&session, top("id = 6", 1))));
+  EXPECT_GT(ProfileRow(&odh, absent, "rows_scanned"), newest_rows);
 }
 
 /// A compaction and a retention drop land between two windows of an open

@@ -145,6 +145,12 @@ std::vector<std::string> BenchQuerySet() {
       "WHERE id = 3",
       "SELECT MIN(temperature), MAX(wind), COUNT(*) FROM env_v "
       "WHERE ts >= " + ts(100) + " AND ts <= " + ts(400),
+      // The same shapes with a constraint the pushdown does not absorb:
+      // the engine folds the rows of a (parallel) batch scan.
+      "SELECT COUNT(*), SUM(temperature), AVG(temperature) FROM env_v "
+      "WHERE id BETWEEN 3 AND 3",
+      "SELECT MIN(temperature), MAX(wind), COUNT(*) FROM env_v "
+      "WHERE ts >= " + ts(100) + " AND ts <= " + ts(400) + " AND id >= 2",
       // LIMIT short-circuits the parallel merge mid-stream.
       "SELECT id, ts, temperature FROM env_v WHERE ts >= " + ts(50) +
           " LIMIT 17",
@@ -156,22 +162,16 @@ std::vector<std::string> BenchQuerySet() {
 }
 
 TEST_F(ParallelParityTest, ParallelMatchesSerialOnBenchQuerySet) {
-  for (bool vectorized : {false, true}) {
-    odh_.config()->SetScanPathOptions(vectorized,
-                                      /*aggregate_pushdown=*/false);
-    for (const std::string& sql : BenchQuerySet()) {
-      odh_.config()->SetQueryParallelism(0);
-      const std::vector<Row> serial = Materialize(sql);
-      odh_.config()->SetQueryParallelism(4);
-      const std::vector<Row> parallel = Materialize(sql);
-      ExpectRowsEqual(parallel, serial,
-                      sql + (vectorized ? " [vec]" : " [row]"));
-    }
+  for (const std::string& sql : BenchQuerySet()) {
+    odh_.config()->SetQueryParallelism(0);
+    const std::vector<Row> serial = Materialize(sql);
+    odh_.config()->SetQueryParallelism(4);
+    const std::vector<Row> parallel = Materialize(sql);
+    ExpectRowsEqual(parallel, serial, sql);
   }
 }
 
 TEST_F(ParallelParityTest, StreamedEqualsMaterializedUnderParallelism) {
-  odh_.config()->SetScanPathOptions(false, false);
   odh_.config()->SetQueryParallelism(4);
   for (const std::string& sql : BenchQuerySet()) {
     ExpectRowsEqual(Stream(sql), Materialize(sql), sql + " [stream]");
@@ -179,8 +179,6 @@ TEST_F(ParallelParityTest, StreamedEqualsMaterializedUnderParallelism) {
 }
 
 TEST_F(ParallelParityTest, SummaryPushdownAggregatesUnaffected) {
-  odh_.config()->SetScanPathOptions(/*vectorized=*/true,
-                                    /*aggregate_pushdown=*/true);
   const std::string sql =
       "SELECT COUNT(*), SUM(temperature), MIN(wind), MAX(wind) "
       "FROM env_v WHERE id = 1";

@@ -1,19 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
 #include "core/odh.h"
+#include "relational_twin.h"
 
 namespace odh::core {
 namespace {
 
 /// Satellite regressions for the partition-elimination boundary audit:
 /// a time predicate landing exactly on a blob boundary (inclusive start,
-/// exclusive end) must neither drop nor double-read the edge blob on any
-/// of the three scan paths.
+/// exclusive end) must neither drop nor double-read the edge blob, whether
+/// the aggregate pushdown answers, the engine folds the batch scan's rows,
+/// or the relational twin `m_r` answers from the same rows.
 ///
 /// Layout: 10 RTS blobs of 50 one-second points for source 1, so blob k
 /// covers seconds [50k, 50k+49] and second 50k is a blob boundary.
@@ -30,38 +33,39 @@ class ScanBoundaryTest : public ::testing::Test {
       ODH_CHECK_OK(odh_->Ingest({1, i * kMicrosPerSecond, {1.0 * i}}));
     }
     ODH_CHECK_OK(odh_->FlushAll());
+    MakeRelationalTwin(odh_.get(), "m_v", "m_r");
   }
 
   std::string TsLiteral(int64_t second) {
     return "'" + FormatTimestamp(second * kMicrosPerSecond) + "'";
   }
 
-  /// Runs `query` on all three scan paths and checks every path returns
-  /// identical rows; returns the row-path result.
+  /// Runs `query` as written, with its `id = 1` turned into a range the
+  /// pushdown does not absorb (so the batch scan's rows are re-checked and
+  /// folded by the engine), and over the relational twin; checks every
+  /// form returns identical rows and returns the twin's result.
   sql::QueryResult AllPaths(const std::string& query) {
-    odh_->config()->SetScanPathOptions(true, true);
     auto pushed = odh_->engine()->Execute(query);
-    odh_->config()->SetScanPathOptions(true, false);
-    auto vectorized = odh_->engine()->Execute(query);
-    odh_->config()->SetScanPathOptions(false, false);
-    auto rowwise = odh_->engine()->Execute(query);
-    odh_->config()->SetScanPathOptions(true, true);
+    auto residual = odh_->engine()->Execute(
+        ReplaceAll(query, "id = 1", "id BETWEEN 1 AND 1"));
+    auto twin =
+        odh_->engine()->Execute(ReplaceAll(query, "FROM m_v", "FROM m_r"));
     ODH_CHECK(pushed.ok());
-    ODH_CHECK(vectorized.ok());
-    ODH_CHECK(rowwise.ok());
-    EXPECT_EQ(pushed->rows.size(), rowwise->rows.size()) << query;
-    EXPECT_EQ(vectorized->rows.size(), rowwise->rows.size()) << query;
+    ODH_CHECK(residual.ok());
+    ODH_CHECK(twin.ok());
+    EXPECT_EQ(pushed->rows.size(), twin->rows.size()) << query;
+    EXPECT_EQ(residual->rows.size(), twin->rows.size()) << query;
     const size_t n = std::min(
-        {pushed->rows.size(), vectorized->rows.size(), rowwise->rows.size()});
+        {pushed->rows.size(), residual->rows.size(), twin->rows.size()});
     for (size_t r = 0; r < n; ++r) {
-      for (size_t c = 0; c < rowwise->rows[r].size(); ++c) {
-        EXPECT_EQ(pushed->rows[r][c], rowwise->rows[r][c])
-            << query << " row " << r << " col " << c << " (pushdown)";
-        EXPECT_EQ(vectorized->rows[r][c], rowwise->rows[r][c])
-            << query << " row " << r << " col " << c << " (vectorized)";
+      for (size_t c = 0; c < twin->rows[r].size(); ++c) {
+        EXPECT_EQ(pushed->rows[r][c], twin->rows[r][c])
+            << query << " row " << r << " col " << c << " (as written)";
+        EXPECT_EQ(residual->rows[r][c], twin->rows[r][c])
+            << query << " row " << r << " col " << c << " (residual)";
       }
     }
-    return std::move(*rowwise);
+    return std::move(*twin);
   }
 
   std::unique_ptr<OdhSystem> odh_;
@@ -171,7 +175,8 @@ TEST_F(ScanBoundaryTest, NativeScanHalfOpenViaInclusiveMicros) {
 
 TEST(MgBoundaryTest, SliceHalfOpenOnMgWindowBoundary) {
   // Low-frequency sources land in MG blobs; the same half-open boundary
-  // contract must hold on the MG scan path (begin_ts index + group filter).
+  // contract must hold on the MG scan path (begin_ts index + group filter),
+  // answered by the pushdown and by the engine's fold over the rows.
   OdhOptions options;
   options.batch_size = 10;
   options.sql_metadata_router = false;
@@ -189,15 +194,13 @@ TEST(MgBoundaryTest, SliceHalfOpenOnMgWindowBoundary) {
       "SELECT COUNT(*), MIN(v), MAX(v) FROM lf_v WHERE ts >= '" +
       FormatTimestamp(100 * kMicrosPerSecond) + "' AND ts < '" +
       FormatTimestamp(300 * kMicrosPerSecond) + "'";
-  for (const auto& [vec, push] :
-       std::vector<std::pair<bool, bool>>{{true, true}, {true, false},
-                                          {false, false}}) {
-    odh.config()->SetScanPathOptions(vec, push);
-    auto r = odh.engine()->Execute(query);
+  // `AND id >= 0` is a constraint the pushdown does not absorb.
+  for (const std::string& q : {query, query + " AND id >= 0"}) {
+    auto r = odh.engine()->Execute(q);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->rows[0][0], Datum::Int64(20)) << vec << push;
-    EXPECT_EQ(r->rows[0][1], Datum::Double(10.0)) << vec << push;
-    EXPECT_EQ(r->rows[0][2], Datum::Double(29.0)) << vec << push;
+    EXPECT_EQ(r->rows[0][0], Datum::Int64(20)) << q;
+    EXPECT_EQ(r->rows[0][1], Datum::Double(10.0)) << q;
+    EXPECT_EQ(r->rows[0][2], Datum::Double(29.0)) << q;
   }
 }
 

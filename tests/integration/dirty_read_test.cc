@@ -3,7 +3,7 @@
 // keeps ingesting and calling FlushAll. A historical scan lists the
 // store's blobs and then collects the writer's unflushed rows; a flush
 // landing between the two used to leave its blob's rows in neither (about
-// one query in a hundred). Checked on the row path, the vectorized path,
+// one query in a hundred). Checked on the batch scan, the top-k time scan,
 // aggregate pushdown and the native API, against counts and sums derived
 // from the generator.
 
@@ -105,11 +105,12 @@ TEST(DirtyReadTest, WatermarkQueriesRacingFlushSeeEveryPoint) {
         }
         break;
       }
-      case 1:    // Vectorized scan.
-      case 2: {  // Row scan.
-        odh.config()->SetScanPathOptions(q % 4 == 1, true);
-        auto r = session.Execute("SELECT ts, v" + window);
-        odh.config()->SetScanPathOptions(true, true);
+      case 1:    // Batch scan.
+      case 2: {  // Top-k time scan over the same window.
+        auto r = session.Execute(
+            "SELECT ts, v" + window +
+            (q % 4 == 1 ? "" : " ORDER BY ts DESC LIMIT " +
+                                   std::to_string(kWindow + 10)));
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         if (static_cast<int64_t>(r->rows.size()) != want_rows) {
           ADD_FAILURE() << "scan at watermark " << w << ": "

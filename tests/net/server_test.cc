@@ -189,6 +189,32 @@ TEST_F(ServerTest, SixtyFourConcurrentSessionsWithPreparedStatements) {
   EXPECT_EQ(server_->sessions_open(), 0) << "sessions leaked after close";
 }
 
+TEST_F(ServerTest, RequestTimeIsRecordedBeforeTheReplyArrives) {
+  // net.request_micros is observed before the last frame of a reply is
+  // sent: once Execute returns, the histogram already holds exactly one
+  // more sample, so client time minus server time never counts a whole
+  // request as wire time.
+  common::Histogram* request_us =
+      odh_->metrics()->GetHistogram("net.request_micros");
+  ASSERT_NE(request_us, nullptr);
+  auto client = MustConnect();
+  auto stmt = client->Prepare(
+      "SELECT ts, temperature FROM env_v WHERE id = ? ORDER BY ts DESC "
+      "LIMIT 1");
+  ASSERT_TRUE(stmt.ok()) << stmt.status().ToString();
+  int late = 0;
+  for (int i = 0; i < 300; ++i) {
+    const int64_t before = request_us->count();
+    auto r = client->Execute(*stmt, {Datum::Int64(1 + i % kSources)});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r->rows.size(), 1u);
+    const int64_t grown = request_us->count() - before;
+    EXPECT_LE(grown, 1) << "execute " << i;
+    if (grown != 1) ++late;
+  }
+  EXPECT_EQ(late, 0) << "requests whose sample landed after the reply";
+}
+
 TEST_F(ServerTest, AdmissionControlRejectsBeyondMaxSessions) {
   // A second, tiny server: two session slots.
   ServerOptions options;

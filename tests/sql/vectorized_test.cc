@@ -119,76 +119,6 @@ TEST(FilterByRangeTest, MatchesScalarSemanticsOnNaNHoles) {
   }
 }
 
-// BatchAggregator ------------------------------------------------------------
-
-TEST(BatchAggregatorTest, EmptyInputFollowsSqlConventions) {
-  BatchAggregator agg({{AggregateOp::kCountStar, -1},
-                       {AggregateOp::kCount, 2},
-                       {AggregateOp::kSum, 2},
-                       {AggregateOp::kAvg, 2},
-                       {AggregateOp::kMin, 2},
-                       {AggregateOp::kMax, 2}});
-  Row out = agg.Finalize();
-  EXPECT_EQ(out[0], Datum::Int64(0));
-  EXPECT_EQ(out[1], Datum::Int64(0));
-  EXPECT_TRUE(out[2].is_null());
-  EXPECT_TRUE(out[3].is_null());
-  EXPECT_TRUE(out[4].is_null());
-  EXPECT_TRUE(out[5].is_null());
-}
-
-TEST(BatchAggregatorTest, NaNRowsCountForStarButNotForValues) {
-  BatchAggregator agg({{AggregateOp::kCountStar, -1},
-                       {AggregateOp::kCount, 2},
-                       {AggregateOp::kSum, 2},
-                       {AggregateOp::kMin, 2},
-                       {AggregateOp::kMax, 2}});
-  agg.Accumulate(MakeBatch(1, {0, 1, 2, 3}, {{4.0, kNaN, -2.0, 10.0}}));
-  Row out = agg.Finalize();
-  EXPECT_EQ(out[0], Datum::Int64(4));
-  EXPECT_EQ(out[1], Datum::Int64(3));
-  EXPECT_EQ(out[2], Datum::Double(12.0));
-  EXPECT_EQ(out[3], Datum::Double(-2.0));
-  EXPECT_EQ(out[4], Datum::Double(10.0));
-}
-
-TEST(BatchAggregatorTest, HonorsSelectionVector) {
-  ColumnBatch b = MakeBatch(1, {0, 1, 2, 3}, {{1.0, 2.0, 3.0, 4.0}});
-  b.sel = {1, 3};
-  b.sel_all = false;
-  BatchAggregator agg({{AggregateOp::kCountStar, -1},
-                       {AggregateOp::kSum, 2}});
-  agg.Accumulate(b);
-  Row out = agg.Finalize();
-  EXPECT_EQ(out[0], Datum::Int64(2));
-  EXPECT_EQ(out[1], Datum::Double(6.0));
-}
-
-TEST(BatchAggregatorTest, UnprojectedColumnIsAllNull) {
-  BatchAggregator agg({{AggregateOp::kCount, 2}, {AggregateOp::kSum, 2}});
-  agg.Accumulate(MakeBatch(1, {0, 1}, {{}}));  // tag 0 unprojected
-  Row out = agg.Finalize();
-  EXPECT_EQ(out[0], Datum::Int64(0));
-  EXPECT_TRUE(out[1].is_null());
-}
-
-TEST(BatchAggregatorTest, AccumulatesAcrossBatches) {
-  BatchAggregator agg({{AggregateOp::kAvg, 2}});
-  agg.Accumulate(MakeBatch(1, {0, 1}, {{1.0, 2.0}}));
-  agg.Accumulate(MakeBatch(1, {2}, {{6.0}}));
-  EXPECT_EQ(agg.Finalize()[0], Datum::Double(3.0));
-}
-
-TEST(VectorizedAggregatableTest, Rules) {
-  EXPECT_TRUE(VectorizedAggregatable({{AggregateOp::kCountStar, -1}}));
-  EXPECT_TRUE(VectorizedAggregatable({{AggregateOp::kCount, 0}}));
-  EXPECT_TRUE(VectorizedAggregatable({{AggregateOp::kSum, 2}}));
-  EXPECT_FALSE(VectorizedAggregatable({{AggregateOp::kCount, -1}}));
-  // Value aggregates over id/timestamp are not double columns.
-  EXPECT_FALSE(VectorizedAggregatable({{AggregateOp::kSum, 1}}));
-  EXPECT_FALSE(VectorizedAggregatable({{AggregateOp::kMin, 0}}));
-}
-
 // BatchRowAdapter ------------------------------------------------------------
 
 TEST(BatchRowAdapterTest, SkipsEmptyAndFilteredOutBatches) {

@@ -32,7 +32,6 @@ uint64_t RunOdh(const LdConfig& config, CompressionSpec spec,
                 double* max_error) {
   OdhOptions options;
   options.batch_size = 256;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   LdGenerator stream(config);
   const auto& info = stream.info();

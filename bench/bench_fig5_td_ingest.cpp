@@ -93,12 +93,12 @@ OverheadResult RunMetricsOverhead(int64_t account_unit, double duration) {
   // scheduler noise better than averaging on a shared machine.
   for (int rep = 0; rep < 3; ++rep) {
     {
-      OdhTarget on(OdhTarget::DefaultOptions());
+      OdhTarget on;
       out.rate_metrics_on = std::max(
           out.rate_metrics_on, RunOne(config, &on, 0).Throughput());
     }
     {
-      core::OdhOptions opts = OdhTarget::DefaultOptions();
+      core::OdhOptions opts;
       opts.enable_metrics = false;
       OdhTarget off(opts);
       out.rate_metrics_off = std::max(

@@ -27,7 +27,7 @@ int Run(int argc, char** argv) {
 
   LdConfig config = LdConfig::Of(1, static_cast<int64_t>(800 * scale),
                                  /*duration_seconds=*/120);
-  core::OdhOptions options = OdhTarget::DefaultOptions();
+  core::OdhOptions options;
   options.mg_group_size = 64;  // Per-group locality for historical probes.
   OdhTarget target(options);
   {

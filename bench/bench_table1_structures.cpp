@@ -40,7 +40,6 @@ int Run(int argc, char** argv) {
   for (const ClassSetup& setup : classes) {
     OdhOptions options;
     options.batch_size = 32;
-    options.sql_metadata_router = false;
     OdhSystem odh(options);
     int type = odh.DefineSchemaType("t", {"v"}).value();
     ODH_CHECK_OK(odh.RegisterSource(1, type, setup.interval, setup.regular));

@@ -75,6 +75,9 @@ Candidate MakeOdh(const TdConfig& td, const LdConfig& ld) {
   // form, as in a steady-state historian; recent data would stay in MG.
   int ld_type = c.odh->odh()->config()->FindSchemaType("LD").value();
   ODH_CHECK_OK(c.odh->odh()->Reorganize(ld_type, kMaxTimestamp).status());
+  // Route every query through the paper's per-query SQL metadata lookup
+  // (§5.3), the cost it blames for ODH's losses on small queries like LQ1.
+  c.odh->odh()->router()->SetSqlMetadataLookup(true);
   ODH_CHECK_OK(
       benchfw::LoadTdRelational(TdGenerator(td), c.odh->odh()->database()));
   ODH_CHECK_OK(
@@ -360,7 +363,7 @@ void RunReadScalingCurve(int max_threads, double scale, JsonWriter* json) {
   json->BeginArray();
   double base_rate = 0;
   for (int threads : curve) {
-    core::OdhOptions options = OdhTarget::DefaultOptions();
+    core::OdhOptions options;
     options.read_parallelism = threads;
     OdhTarget odh(options);
     {
@@ -419,7 +422,7 @@ void RunParallelCacheSection(double scale, int queries_per_depth,
   json->KeyValue("num_segments", 8);
 
   // Serial vs parallel at increasing history depth, cache off.
-  core::OdhOptions options = OdhTarget::DefaultOptions();
+  core::OdhOptions options;
   options.segment_span = kSegmentSpan;
   options.query_parallelism = 8;
   OdhTarget odh(options);
@@ -502,7 +505,7 @@ void RunParallelCacheSection(double scale, int queries_per_depth,
 
   // Cold vs warm with the decoded-blob cache on (fresh instance so the
   // timing section above stayed cache-free).
-  core::OdhOptions cache_options = OdhTarget::DefaultOptions();
+  core::OdhOptions cache_options;
   cache_options.segment_span = kSegmentSpan;
   cache_options.query_parallelism = 8;
   cache_options.blob_cache_bytes = 64u << 20;

@@ -34,14 +34,7 @@ class IngestTarget {
 /// ODH target: OdhSystem ingestion through the writer API.
 class OdhTarget : public IngestTarget {
  public:
-  explicit OdhTarget(core::OdhOptions options = DefaultOptions());
-
-  static core::OdhOptions DefaultOptions() {
-    core::OdhOptions options;
-    options.batch_size = 256;
-    options.sql_metadata_router = true;
-    return options;
-  }
+  explicit OdhTarget(core::OdhOptions options = {});
 
   const std::string& name() const override { return name_; }
   Status Setup(const StreamInfo& info) override;

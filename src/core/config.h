@@ -63,11 +63,6 @@ struct OdhOptions {
   Timestamp mg_window = 15 * kMicrosPerMinute;
   /// Sources classified as high-frequency at or above this rate.
   double high_frequency_threshold_hz = 1.0;
-  /// When true, the data router resolves metadata through SQL queries on
-  /// the metadata tables (the paper's implementation, whose overhead
-  /// dominates small queries like LQ1); when false it uses direct in-memory
-  /// lookups (the fix the paper proposes for a future Informix version).
-  bool sql_metadata_router = true;
   /// Per-blob tag min/max zone maps: the paper's §6 future-work indexing
   /// that lets queries on attribute values skip non-matching ValueBlobs.
   bool enable_zone_maps = true;
@@ -150,6 +145,9 @@ class ConfigComponent {
   Status RegisterSource(SourceId id, int schema_type,
                         Timestamp sample_interval, bool regular);
 
+  /// A registered source never changes (a second RegisterSource of its id
+  /// fails), so the data router answers every historical route from here,
+  /// the in-memory lookup the paper proposes in place of its per-query SQL.
   Result<const DataSourceInfo*> GetSource(SourceId id) const;
   int64_t num_sources() const { return static_cast<int64_t>(sources_.size()); }
 

@@ -35,8 +35,8 @@ Status DataRouter::SyncMetadata() {
   return metadata_ == nullptr ? Status::OK() : metadata_->Commit();
 }
 
-Result<RouteDecision> DataRouter::DecisionFor(SourceClass source_class,
-                                              int64_t group) {
+RouteDecision DataRouter::DecisionFor(SourceClass source_class,
+                                     int64_t group) {
   RouteDecision decision;
   if (IsHighFrequency(source_class)) {
     // A "regular" source can still spill irregular batches (jitter), so
@@ -57,23 +57,31 @@ Result<RouteDecision> DataRouter::DecisionFor(SourceClass source_class,
 Result<RouteDecision> DataRouter::RouteHistorical(int schema_type,
                                                   SourceId id) {
   lookups_.fetch_add(1, std::memory_order_relaxed);
-  if (config_->options().sql_metadata_router) {
-    // The paper's implementation: metadata resolved by a SQL point query.
-    std::string sql = "SELECT cls, grp FROM odh$sources WHERE id = " +
-                      std::to_string(id);
-    ODH_ASSIGN_OR_RETURN(sql::QueryResult result, engine_->Execute(sql));
-    if (result.rows.empty()) {
-      return Status::NotFound("unregistered source: " + std::to_string(id));
-    }
-    auto source_class =
-        static_cast<SourceClass>(result.rows[0][0].int64_value());
-    return DecisionFor(source_class, result.rows[0][1].int64_value());
+  if (sql_lookup_.load(std::memory_order_relaxed)) {
+    return RouteViaSql(schema_type, id);
   }
   ODH_ASSIGN_OR_RETURN(const DataSourceInfo* info, config_->GetSource(id));
   if (info->schema_type != schema_type) {
-    return Status::InvalidArgument("source belongs to another schema type");
+    // Another type's source holds no rows of this type: answered like an
+    // unregistered id, so virtual-table queries come back empty.
+    return Status::NotFound("source " + std::to_string(id) +
+                            " belongs to another schema type");
   }
   return DecisionFor(info->source_class, info->group);
+}
+
+Result<RouteDecision> DataRouter::RouteViaSql(int schema_type, SourceId id) {
+  // The paper's implementation: metadata resolved by a SQL point query.
+  std::string sql =
+      "SELECT schema_type, cls, grp FROM odh$sources WHERE id = " +
+      std::to_string(id);
+  ODH_ASSIGN_OR_RETURN(sql::QueryResult result, engine_->Execute(sql));
+  if (result.rows.empty() || result.rows[0][0].int64_value() != schema_type) {
+    return Status::NotFound("unregistered source of this schema type: " +
+                            std::to_string(id));
+  }
+  return DecisionFor(static_cast<SourceClass>(result.rows[0][1].int64_value()),
+                     result.rows[0][2].int64_value());
 }
 
 Result<RouteDecision> DataRouter::RouteSlice(int schema_type) {

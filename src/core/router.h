@@ -20,16 +20,19 @@ struct RouteDecision {
 };
 
 /// The ODH data router: per query, looks up data-source metadata to locate
-/// the containers holding the requested data (paper §5.3: "for each query,
-/// the data router looks up the metadata to locate the required data. This
-/// process is currently completed by SQL statements" — the overhead that
-/// dominates small queries like LQ1).
+/// the containers holding the requested data.
 ///
-/// Two modes, selected by OdhOptions::sql_metadata_router:
-///  - SQL mode reproduces the paper: metadata lives in a relational table
-///    (odh$sources) and every historical route runs a SQL point query
-///    against it.
-///  - Direct mode is the paper's proposed fix: an in-memory lookup.
+/// The paper (§5.3) resolves that metadata "by SQL statements" and blames
+/// the statement's cost for ODH's losses on small queries like LQ1; it
+/// proposes an in-memory lookup as the fix. Routing here is that fix: a
+/// historical route reads the registered source from ConfigComponent. A
+/// source never changes once registered, so there is nothing to cache or
+/// invalidate, and routing is safe from any session thread once the
+/// sources it names are registered.
+///
+/// The source metadata is still mirrored into the relational table
+/// odh$sources, which users can query. The paper's per-query SQL route
+/// over that table survives only as a bench seam (SetSqlMetadataLookup).
 class DataRouter {
  public:
   DataRouter(ConfigComponent* config, sql::SqlEngine* engine)
@@ -45,29 +48,39 @@ class DataRouter {
   Status SyncMetadata();
 
   /// Routes a historical query (single source, long time window).
+  /// NotFound when `id` is not a registered source of `schema_type`.
   Result<RouteDecision> RouteHistorical(int schema_type, SourceId id);
 
   /// Routes a slice query (all sources of a type, short time window).
-  /// Every container is a candidate, so no mode consults metadata; the
+  /// Every container is a candidate, so no metadata is consulted; the
   /// route still counts as a lookup.
   Result<RouteDecision> RouteSlice(int schema_type);
 
-  /// Routes performed so far. Direct-mode routing is thread-safe (it reads
-  /// the immutable config and bumps this atomic); SQL-mode routing runs
-  /// statements through the single-threaded SQL engine and must be
-  /// serialized by the caller.
+  /// Routes performed so far.
   int64_t lookups() const {
     return lookups_.load(std::memory_order_relaxed);
   }
 
+  /// Bench seam: when on, every historical route runs the paper's SQL
+  /// point query against odh$sources instead of reading the config, so
+  /// the Table 8 bench and the router ablation reproduce the paper's cost.
+  /// The statement reads odh$sources, which RegisterSource and FlushAll
+  /// write without the engine's write mutex, so while it is on, do not
+  /// register sources or flush concurrently with queries.
+  void SetSqlMetadataLookup(bool on) {
+    sql_lookup_.store(on, std::memory_order_relaxed);
+  }
+
  private:
-  Result<RouteDecision> DecisionFor(SourceClass source_class, int64_t group);
+  Result<RouteDecision> RouteViaSql(int schema_type, SourceId id);
+  static RouteDecision DecisionFor(SourceClass source_class, int64_t group);
 
   ConfigComponent* config_;
   sql::SqlEngine* engine_;
   relational::Table* metadata_ = nullptr;
   int64_t pending_metadata_rows_ = 0;
   std::atomic<int64_t> lookups_{0};
+  std::atomic<bool> sql_lookup_{false};
 };
 
 }  // namespace odh::core

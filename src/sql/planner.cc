@@ -129,6 +129,43 @@ bool ExtractConstraint(const Expr* expr, const ExprEvaluator* eval,
   }
 }
 
+/// Narrows `existing` (a constraint on the same column) to its intersection
+/// with `incoming`. Returns false and leaves `existing` as it was when the
+/// merge is not a range intersection: `=` on either side (an equality wins
+/// over the bounds in every provider, so merging it would lose one side),
+/// or a bound that does not compare with the one it would replace.
+bool IntersectRange(const ColumnConstraint& incoming,
+                    ColumnConstraint* existing) {
+  if (incoming.equals.has_value() || existing->equals.has_value()) {
+    return false;
+  }
+  // `tighter` is the sign of incoming vs existing that narrows the range.
+  auto narrows = [](const std::optional<Bound>& in,
+                    const std::optional<Bound>& have, int tighter,
+                    bool* take) {
+    *take = false;
+    if (!in.has_value()) return true;
+    if (!have.has_value()) return *take = true;
+    int cmp;
+    bool null_cmp;
+    if (!in->value.Compare(have->value, &cmp, &null_cmp) || null_cmp) {
+      return false;
+    }
+    // On equal values an exclusive bound is strictly tighter than an
+    // inclusive one, so it must win the merge in either order.
+    *take = cmp == tighter || (cmp == 0 && !in->inclusive);
+    return true;
+  };
+  bool take_lower, take_upper;
+  if (!narrows(incoming.lower, existing->lower, 1, &take_lower) ||
+      !narrows(incoming.upper, existing->upper, -1, &take_upper)) {
+    return false;
+  }
+  if (take_lower) existing->lower = incoming.lower;
+  if (take_upper) existing->upper = incoming.upper;
+  return true;
+}
+
 bool ExtractJoinEdge(const Expr* expr, JoinEdge* edge) {
   if (expr->kind() != ExprKind::kBinary) return false;
   const auto* bin = static_cast<const BinaryExpr*>(expr);
@@ -300,34 +337,10 @@ Result<PhysicalPlan> PlanSelect(const BoundSelect& bound,
       }
       if (existing == nullptr) {
         specs[table_no].constraints.push_back(std::move(constraint));
-      } else {
-        if (constraint.equals.has_value()) existing->equals = constraint.equals;
-        if (constraint.lower.has_value()) {
-          int cmp;
-          bool null_cmp;
-          // On equal values an exclusive bound is strictly tighter than an
-          // inclusive one, so it must win the merge in either order.
-          if (!existing->lower.has_value() ||
-              (constraint.lower->value.Compare(existing->lower->value, &cmp,
-                                               &null_cmp) &&
-               !null_cmp &&
-               (cmp > 0 || (cmp == 0 && (existing->lower->inclusive ||
-                                         !constraint.lower->inclusive))))) {
-            existing->lower = constraint.lower;
-          }
-        }
-        if (constraint.upper.has_value()) {
-          int cmp;
-          bool null_cmp;
-          if (!existing->upper.has_value() ||
-              (constraint.upper->value.Compare(existing->upper->value, &cmp,
-                                               &null_cmp) &&
-               !null_cmp &&
-               (cmp < 0 || (cmp == 0 && (existing->upper->inclusive ||
-                                         !constraint.upper->inclusive))))) {
-            existing->upper = constraint.upper;
-          }
-        }
+      } else if (!IntersectRange(constraint, existing)) {
+        // Not a plain range intersection: FilterNode re-checks the
+        // conjunct instead of the merge overwriting or dropping it.
+        residual.push_back(conjunct);
       }
     } else if (ExtractJoinEdge(conjunct, &edge)) {
       edges.push_back(edge);

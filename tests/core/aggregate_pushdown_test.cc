@@ -22,7 +22,6 @@ class AggregatePushdownTest : public ::testing::Test {
   AggregatePushdownTest() {
     OdhOptions options;
     options.batch_size = 50;
-    options.sql_metadata_router = false;
     odh_ = std::make_unique<OdhSystem>(options);
     type_ = odh_->DefineSchemaType("m", {"temp", "load"}).value();
     ODH_CHECK_OK(odh_->RegisterSource(1, type_, kMicrosPerSecond, true));
@@ -150,7 +149,6 @@ TEST_F(AggregatePushdownTest, LossyBlobsAnswerValueAggregatesFromDecode) {
   // — never from the pre-quantization summary, which can disagree.
   OdhOptions options;
   options.batch_size = 50;
-  options.sql_metadata_router = false;
   OdhSystem lossy(options);
   CompressionSpec spec;
   spec.max_error = 0.5;
@@ -268,7 +266,6 @@ TEST(ScanPathParityTest, SumAvgOverAllNullTagIsNullOnEveryPath) {
   // the summary fast path, the fold over batches, and the row fold alike.
   OdhOptions options;
   options.batch_size = 50;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("m", {"temp", "load"}).value();
   ODH_CHECK_OK(odh.RegisterSource(1, type, kMicrosPerSecond, true));
@@ -308,7 +305,6 @@ TEST(ScanPathParityTest, NaNHolesMatchAcrossVectorizedAndRowScans) {
   // across the pushdown, the fold over batches and the row fold.
   OdhOptions options;
   options.batch_size = 50;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("m", {"temp", "load"}).value();
   ODH_CHECK_OK(odh.RegisterSource(1, type, kMicrosPerSecond, true));
@@ -350,7 +346,6 @@ TEST(AggregatePushdownMgTest, HistoricalIdQueriesNeverUseMgSummaries) {
   // MG blobs mix sources, so a per-id historical aggregate cannot be
   // answered from the blob-level summary; a slice aggregate can.
   OdhOptions options;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("lf", {"v"}).value();
   ODH_CHECK_OK(odh.RegisterSource(101, type, 10 * kMicrosPerSecond, false));

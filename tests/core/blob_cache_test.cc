@@ -108,7 +108,6 @@ OdhOptions CacheOpts(size_t cache_bytes) {
   options.segment_span = kSpan;  // 5 segments over 500 s.
   options.query_parallelism = 4;
   options.blob_cache_bytes = cache_bytes;
-  options.sql_metadata_router = false;
   return options;
 }
 
@@ -344,7 +343,6 @@ TEST(BlobCacheStressTest, ConcurrentScansSurviveEvictionAndCompaction) {
   options.segment_span = 50 * kMicrosPerSecond;
   options.query_parallelism = 4;
   options.blob_cache_bytes = 64u << 10;  // Tiny: constant eviction.
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("env", {"temp"}).value();
   constexpr int kSources = 3;

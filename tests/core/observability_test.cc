@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "core/odh.h"
+#include "sql/session.h"
 
 namespace odh::core {
 namespace {
@@ -43,7 +44,6 @@ class SystemTablesTest : public ::testing::Test {
   SystemTablesTest() {
     OdhOptions options;
     options.batch_size = 50;
-    options.sql_metadata_router = false;
     odh_ = std::make_unique<OdhSystem>(options);
     type_ = odh_->DefineSchemaType("env", {"temp", "load"}).value();
     ODH_CHECK_OK(odh_->RegisterSource(1, type_, kMicrosPerSecond, true));
@@ -121,6 +121,41 @@ TEST_F(SystemTablesTest, QueriesTableRecordsProfiles) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+/// odh_queries holds the client's statements only: routing a query runs no
+/// statement of its own, so the bounded ring is not shared with internal
+/// metadata lookups.
+TEST_F(SystemTablesTest, QueriesTableHoldsOnlyClientStatements) {
+  const size_t before = odh_->engine()->RecentQueries().size();
+  sql::Session session(odh_->engine());
+  int n = 0;
+  auto run = [&n](Result<sql::QueryResult> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ++n;
+  };
+  run(session.Execute("SELECT * FROM env_v WHERE id = 1"));
+  run(session.Execute("SELECT COUNT(*), AVG(temp) FROM env_v WHERE id = 1"));
+  run(session.Execute(
+      "SELECT ts, temp FROM env_v WHERE id = 1 ORDER BY ts DESC LIMIT 3"));
+  run(session.Execute("SELECT MAX(load) FROM env_v"));
+  auto prepared = session.Prepare(
+      "SELECT ts, temp FROM env_v WHERE id = ? ORDER BY ts DESC LIMIT 1");
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
+  for (int i = 0; i < 3; ++i) {
+    run(session.ExecutePrepared(*prepared, {Datum::Int64(1)}));
+  }
+  run(odh_->engine()->Execute("SELECT COUNT(*) FROM env_v WHERE id = 1"));
+
+  const std::vector<sql::QueryProfile> recent =
+      odh_->engine()->RecentQueries();
+  ASSERT_LT(before + static_cast<size_t>(n), 128u)  // The ring's capacity.
+      << "the ring must not wrap";
+  EXPECT_EQ(recent.size(), before + static_cast<size_t>(n));
+  for (const sql::QueryProfile& p : recent) {
+    EXPECT_EQ(p.statement.find("odh$sources"), std::string::npos)
+        << p.statement;
+  }
 }
 
 TEST_F(SystemTablesTest, StorageTableReportsPartitionStats) {
@@ -225,7 +260,6 @@ class ParallelObservabilityTest : public ::testing::Test {
     options.segment_span = 100 * kMicrosPerSecond;  // 5 segments.
     options.query_parallelism = 4;
     options.blob_cache_bytes = 8u << 20;
-    options.sql_metadata_router = false;
     odh_ = std::make_unique<OdhSystem>(options);
     type_ = odh_->DefineSchemaType("env", {"temp", "load"}).value();
     for (SourceId id = 1; id <= 2; ++id) {
@@ -345,14 +379,12 @@ TEST_F(ParallelObservabilityTest, PerQueryCountersScopedUnderParallelism) {
   EXPECT_GT(second.blob_cache_hits, 0);
 }
 
-/// Satellite 5: the observability surface must be safe to read while other
-/// threads ingest and scan. SQL stays on this thread (the engine is
-/// single-threaded by contract); the system-table providers snapshot their
-/// sources, so their cursors race with nothing.
+/// The observability surface must be safe to read while other threads
+/// ingest and scan. The SQL runs on this thread; the system-table providers
+/// snapshot their sources, so their cursors race with nothing.
 TEST(ObservabilityConcurrencyTest, SystemTablesReadCleanlyDuringIngest) {
   OdhOptions options;
   options.batch_size = 64;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("env", {"temp"}).value();
   constexpr int kSources = 3;

@@ -11,11 +11,10 @@
 namespace odh::core {
 namespace {
 
-OdhOptions TestOptions(bool sql_router = false) {
+OdhOptions TestOptions() {
   OdhOptions options;
   options.batch_size = 16;
   options.mg_group_size = 8;
-  options.sql_metadata_router = sql_router;
   return options;
 }
 
@@ -157,22 +156,122 @@ TEST_F(OdhSystemTest, ProjectionPushdownReducesBlobBytes) {
   EXPECT_GT(narrow, 0);
 }
 
+/// The paper's per-query SQL metadata lookup, reached through the router's
+/// bench seam: it answers as the in-memory route does, and each route runs
+/// its own statement against odh$sources.
 TEST_F(OdhSystemTest, SqlRouterModeWorksAndCountsLookups) {
-  OdhSystem odh(TestOptions(/*sql_router=*/true));
+  OdhSystem odh(TestOptions());
   int type = odh.DefineSchemaType("t", {"v"}).value();
+  int other = odh.DefineSchemaType("u", {"v"}).value();
   ODH_CHECK_OK(odh.RegisterSource(1, type, kMicrosPerSecond, true));
+  ODH_CHECK_OK(odh.RegisterSource(2, other, kMicrosPerSecond, true));
   for (int i = 0; i < 20; ++i) {
     ODH_CHECK_OK(odh.Ingest({1, i * kMicrosPerSecond, {1.0 * i}}));
+    ODH_CHECK_OK(odh.Ingest({2, i * kMicrosPerSecond, {1.0 * i}}));
   }
   ODH_CHECK_OK(odh.FlushAll());
+  odh.router()->SetSqlMetadataLookup(true);
+  auto router_statements = [&odh] {
+    int n = 0;
+    for (const sql::QueryProfile& p : odh.engine()->RecentQueries()) {
+      if (p.statement.find("odh$sources") != std::string::npos) ++n;
+    }
+    return n;
+  };
+  const int64_t lookups = odh.router()->lookups();
   auto r = odh.engine()->Execute("SELECT COUNT(*) FROM t_v WHERE id = 1");
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->rows[0][0], Datum::Int64(20));
-  EXPECT_GE(odh.router()->lookups(), 1);
+  EXPECT_EQ(odh.router()->lookups(), lookups + 1);
+  EXPECT_EQ(router_statements(), 1);
+  // Another type's source answers empty, as on the in-memory route.
+  auto empty = odh.engine()->Execute("SELECT COUNT(*) FROM t_v WHERE id = 2");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(empty->rows[0][0], Datum::Int64(0));
+  EXPECT_TRUE(odh.HistoricalQuery(type, 2, 0, kMaxTimestamp)
+                  .status()
+                  .IsNotFound());
+  EXPECT_EQ(router_statements(), 3);
+
+  odh.router()->SetSqlMetadataLookup(false);
+  r = odh.engine()->Execute("SELECT COUNT(*) FROM t_v WHERE id = 1");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->rows[0][0], Datum::Int64(20));
+  EXPECT_EQ(router_statements(), 3);
 }
 
 TEST_F(OdhSystemTest, UnregisteredSourceHistoricalFails) {
   EXPECT_FALSE(odh_.HistoricalQuery(type_, 99, 0, kMaxTimestamp).ok());
+}
+
+/// A source registered under another schema type holds no rows of this
+/// one: every virtual-table path answers empty, as for an unregistered id,
+/// and the native historical query fails as it does for one.
+TEST_F(OdhSystemTest, AnotherSchemaTypesSourceAnswersEmpty) {
+  int other = odh_.DefineSchemaType("other", {"v"}).value();
+  ODH_CHECK_OK(odh_.RegisterSource(5, other, kMicrosPerSecond, true));
+  for (int i = 0; i < 40; ++i) {
+    ODH_CHECK_OK(odh_.Ingest({5, i * kMicrosPerSecond, {1.0 * i}}));
+  }
+  ODH_CHECK_OK(odh_.FlushAll());
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM other_v WHERE id = 5").rows[0][0],
+            Datum::Int64(40));
+  for (SourceId id : {SourceId{5}, SourceId{99}}) {
+    SCOPED_TRACE(id);
+    const std::string where = " WHERE id = " + std::to_string(id);
+    EXPECT_TRUE(Exec("SELECT * FROM environ_data_v" + where).rows.empty());
+    EXPECT_TRUE(Exec("SELECT ts, wind FROM environ_data_v" + where +
+                     " ORDER BY ts DESC LIMIT 1")
+                    .rows.empty());
+    sql::QueryResult agg =
+        Exec("SELECT COUNT(*), AVG(temperature), MAX(wind) "
+             "FROM environ_data_v" + where);
+    ASSERT_EQ(agg.rows.size(), 1u);
+    EXPECT_EQ(agg.rows[0][0], Datum::Int64(0));
+    EXPECT_TRUE(agg.rows[0][1].is_null());
+    EXPECT_TRUE(agg.rows[0][2].is_null());
+    EXPECT_TRUE(odh_.HistoricalQuery(type_, id, 0, kMaxTimestamp)
+                    .status()
+                    .IsNotFound());
+  }
+}
+
+/// Two conjuncts on one column must both hold: the planner may not let an
+/// `=` overwrite or outrank the other conjunct. Counts are literal, not
+/// parity with a relational twin (the twin shares the planner).
+TEST_F(OdhSystemTest, ContradictoryConjunctsOnOneColumnReturnNoRows) {
+  const char* kContradictions[] = {
+      "id = 1 AND id = 2",
+      "id = 2 AND id = 1",
+      "id = 1 AND id >= 2",
+      "id >= 2 AND id = 1",
+      "ts = '1970-01-01 00:00:42' AND ts > '1970-01-01 00:00:50'",
+      "ts > '1970-01-01 00:00:50' AND ts = '1970-01-01 00:00:42'",
+      "id = 3 AND ts = '1970-01-01 00:00:42' AND ts < '1970-01-01 00:00:42'",
+      // Crossing bounds intersect to an empty range.
+      "ts > '1970-01-01 00:00:50' AND ts < '1970-01-01 00:00:40'",
+      "id = 2 AND ts >= '1970-01-01 00:00:42' AND ts < '1970-01-01 00:00:42'",
+      "id > 3 AND id < 2",
+  };
+  for (const char* where : kContradictions) {
+    SCOPED_TRACE(where);
+    const std::string tail = std::string(" FROM environ_data_v WHERE ") + where;
+    EXPECT_EQ(Exec("SELECT COUNT(*)" + tail).rows[0][0], Datum::Int64(0));
+    EXPECT_TRUE(Exec("SELECT *" + tail).rows.empty());
+    EXPECT_TRUE(Exec("SELECT ts" + tail + " ORDER BY ts DESC LIMIT 1")
+                    .rows.empty());
+  }
+  // Redundant conjuncts keep every row they both admit.
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM environ_data_v WHERE id = 1 AND "
+                 "id = 1").rows[0][0],
+            Datum::Int64(100));
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM environ_data_v WHERE id = 1 AND "
+                 "id >= 1").rows[0][0],
+            Datum::Int64(100));
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM environ_data_v WHERE "
+                 "ts = '1970-01-01 00:00:42' AND "
+                 "ts >= '1970-01-01 00:00:42'").rows[0][0],
+            Datum::Int64(4));
 }
 
 TEST_F(OdhSystemTest, CostModelScalesWithRangeAndTags) {
@@ -263,7 +362,6 @@ TEST_P(OdhPropertyTest, SqlAndNativeAgreeOnRandomWorkload) {
   OdhOptions options;
   options.batch_size = 7;  // Awkward batch size exercises partial blobs.
   options.mg_group_size = 3;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("rand", {"x", "y", "z"}).value();
   Random rng(GetParam());

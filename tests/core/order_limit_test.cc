@@ -54,7 +54,6 @@ OdhOptions OptionsFor(const Config& c) {
   options.segment_span = c.segmented ? kSpan : 0;
   options.query_parallelism = c.query_parallelism;
   options.blob_cache_bytes = c.cache ? (8u << 20) : 0;
-  options.sql_metadata_router = false;
   options.mg_group_size = 4;
   return options;
 }

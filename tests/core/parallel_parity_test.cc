@@ -46,7 +46,6 @@ class ParallelParityTest : public ::testing::Test {
     options.segment_span = kSpan;
     options.query_parallelism = 4;
     options.mg_group_size = 4;
-    options.sql_metadata_router = false;
     return options;
   }
 
@@ -269,7 +268,6 @@ TEST(ParallelParityInlineTest, EarlyStopDecodesNoMoreWithAPool) {
     options.batch_size = 25;
     options.read_parallelism = read_parallelism;
     options.query_parallelism = query_parallelism;
-    options.sql_metadata_router = false;
     OdhSystem odh(options);
     const int type = odh.DefineSchemaType("env", {"v"}).value();
     ODH_CHECK_OK(odh.RegisterSource(1, type, kMicrosPerSecond, true));

@@ -19,7 +19,6 @@ class ReadStatsTest : public ::testing::Test {
   ReadStatsTest() {
     OdhOptions options;
     options.batch_size = 100;
-    options.sql_metadata_router = false;
     odh_ = std::make_unique<OdhSystem>(options);
     type_ = odh_->DefineSchemaType("m", {"temp"}).value();
     ODH_CHECK_OK(odh_->RegisterSource(1, type_, kMicrosPerSecond, true));

@@ -13,7 +13,6 @@ OdhOptions MeterOptions() {
   OdhOptions options;
   options.batch_size = 32;
   options.mg_group_size = 4;
-  options.sql_metadata_router = false;
   return options;
 }
 
@@ -107,7 +106,6 @@ TEST_F(ReorganizerTest, UnevenGroupsAcrossRoundsStayOrdered) {
   OdhOptions options;
   options.batch_size = 256;
   options.mg_group_size = 1024;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("meters", {"kwh"}).value();
   const int64_t meters = 1500;  // Not a multiple of batch or group size.

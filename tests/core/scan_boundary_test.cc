@@ -25,7 +25,6 @@ class ScanBoundaryTest : public ::testing::Test {
   ScanBoundaryTest() {
     OdhOptions options;
     options.batch_size = 50;
-    options.sql_metadata_router = false;
     odh_ = std::make_unique<OdhSystem>(options);
     type_ = odh_->DefineSchemaType("m", {"temp"}).value();
     ODH_CHECK_OK(odh_->RegisterSource(1, type_, kMicrosPerSecond, true));
@@ -179,7 +178,6 @@ TEST(MgBoundaryTest, SliceHalfOpenOnMgWindowBoundary) {
   // answered by the pushdown and by the engine's fold over the rows.
   OdhOptions options;
   options.batch_size = 10;
-  options.sql_metadata_router = false;
   OdhSystem odh(options);
   int type = odh.DefineSchemaType("lf", {"v"}).value();
   ODH_CHECK_OK(odh.RegisterSource(7, type, 10 * kMicrosPerSecond, false));

@@ -15,7 +15,6 @@ OdhOptions TestOptions() {
   OdhOptions options;
   options.batch_size = 10;
   options.mg_group_size = 5;
-  options.sql_metadata_router = false;
   return options;
 }
 

@@ -259,7 +259,6 @@ class ZoneMapSystemTest : public ::testing::Test {
   ZoneMapSystemTest() {
     OdhOptions options;
     options.batch_size = 50;
-    options.sql_metadata_router = false;
     odh_ = std::make_unique<OdhSystem>(options);
     type_ = odh_->DefineSchemaType("m", {"temp", "load"}).value();
     ODH_CHECK_OK(odh_->RegisterSource(1, type_, 1000, true));
@@ -321,7 +320,6 @@ TEST_F(ZoneMapSystemTest, ImpossiblePredicatePrunesEverything) {
 TEST_F(ZoneMapSystemTest, ResultsIdenticalWithZoneMapsDisabled) {
   OdhOptions options;
   options.batch_size = 50;
-  options.sql_metadata_router = false;
   options.enable_zone_maps = false;
   OdhSystem plain(options);
   int type = plain.DefineSchemaType("m", {"temp", "load"}).value();
@@ -349,7 +347,6 @@ TEST_F(ZoneMapSystemTest, LossyCompressionKeepsZoneMapsConservative) {
   // a zone-mapped query and a full scan under lossy compression.
   OdhOptions options;
   options.batch_size = 50;
-  options.sql_metadata_router = false;
   OdhSystem lossy(options);
   CompressionSpec spec;
   spec.max_error = 0.5;

@@ -16,13 +16,12 @@ namespace {
 
 /// Multi-threaded ingestion against one OdhSystem: N ingest threads with
 /// disjoint source ranges, concurrent dirty reads from another thread, and
-/// crash recovery of a multi-threaded run. The SQL metadata router is off
-/// (the SQL engine is single-threaded); routing uses the immutable config.
+/// crash recovery of a multi-threaded run. Routing reads the immutable
+/// config, so the dirty reads route safely beside the ingest threads.
 OdhOptions ConcurrentOptions() {
   OdhOptions options;
   options.batch_size = 16;
   options.mg_group_size = 8;
-  options.sql_metadata_router = false;
   options.writer_shards = 4;
   options.read_parallelism = 2;
   return options;

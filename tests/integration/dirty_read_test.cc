@@ -29,7 +29,6 @@ constexpr int kWindow = 50;  // Seconds per query window.
 OdhOptions Opts() {
   OdhOptions options;
   options.batch_size = 16;
-  options.sql_metadata_router = false;  // Routing off the SQL engine.
   options.writer_shards = 4;
   return options;
 }

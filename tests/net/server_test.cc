@@ -25,6 +25,7 @@ namespace {
 
 constexpr int kSources = 8;
 constexpr int kPoints = 400;
+constexpr SourceId kOtherTypeSource = 100;
 
 /// One historian + server shared by the whole suite: ingest once, then
 /// hammer it over TCP. Ground truths are computed up front through a
@@ -41,6 +42,14 @@ class ServerTest : public ::testing::Test {
         ODH_CHECK_OK(odh_->Ingest(
             {id, i * kMicrosPerSecond, {20.0 + id + 0.01 * i, 1.0 * id}}));
       }
+    }
+    // A source of another schema type, for the routing test below.
+    int other = odh_->DefineSchemaType("other", {"v"}).value();
+    ODH_CHECK_OK(odh_->RegisterSource(kOtherTypeSource, other,
+                                      kMicrosPerSecond, /*regular=*/true));
+    for (int i = 0; i < kPoints; ++i) {
+      ODH_CHECK_OK(odh_->Ingest({kOtherTypeSource, i * kMicrosPerSecond,
+                                 {1.0 * i}}));
     }
     ODH_CHECK_OK(odh_->FlushAll());
 
@@ -213,6 +222,39 @@ TEST_F(ServerTest, RequestTimeIsRecordedBeforeTheReplyArrives) {
     if (grown != 1) ++late;
   }
   EXPECT_EQ(late, 0) << "requests whose sample landed after the reply";
+}
+
+// A prepared execute naming another schema type's source answers empty, as
+// for an unregistered id, and so does one whose conjuncts on one column
+// contradict each other.
+TEST_F(ServerTest, PreparedQueriesThatMatchNothingAnswerEmpty) {
+  auto client = MustConnect();
+  auto latest = client->Prepare(
+      "SELECT ts, temperature FROM env_v WHERE id = ? ORDER BY ts DESC "
+      "LIMIT 1");
+  ASSERT_TRUE(latest.ok()) << latest.status().ToString();
+  auto count = client->Prepare(
+      "SELECT COUNT(*) FROM env_v WHERE id = ? AND id = ?");
+  ASSERT_TRUE(count.ok()) << count.status().ToString();
+
+  auto other = client->Execute(*latest, {Datum::Int64(kOtherTypeSource)});
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  EXPECT_TRUE(other->rows.empty());
+  auto own = client->Execute(*latest, {Datum::Int64(1)});
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
+  EXPECT_EQ(own->rows.size(), 1u);
+
+  auto contradiction =
+      client->Execute(*count, {Datum::Int64(1), Datum::Int64(2)});
+  ASSERT_TRUE(contradiction.ok()) << contradiction.status().ToString();
+  EXPECT_EQ(contradiction->rows[0][0], Datum::Int64(0));
+  auto both = client->Execute(*count, {Datum::Int64(1), Datum::Int64(1)});
+  ASSERT_TRUE(both.ok()) << both.status().ToString();
+  EXPECT_EQ(both->rows[0][0], Datum::Int64(kPoints));
+  auto foreign = client->Execute(
+      *count, {Datum::Int64(kOtherTypeSource), Datum::Int64(kOtherTypeSource)});
+  ASSERT_TRUE(foreign.ok()) << foreign.status().ToString();
+  EXPECT_EQ(foreign->rows[0][0], Datum::Int64(0));
 }
 
 TEST_F(ServerTest, AdmissionControlRejectsBeyondMaxSessions) {

@@ -219,5 +219,43 @@ TEST_F(EngineTest, DivisionByZeroYieldsNull) {
   EXPECT_TRUE(r.rows[0][0].is_null());
 }
 
+/// Two conjuncts on one column merge only by range intersection; an `=` on
+/// either side stays a residual conjunct, so both must hold.
+class ConjunctMergeTest : public EngineTest {
+ protected:
+  int64_t Count(const std::string& where) {
+    QueryResult r = Exec("SELECT COUNT(*) FROM trade WHERE " + where);
+    return r.rows.empty() ? -1 : r.rows[0][0].int64_value();
+  }
+};
+
+TEST_F(ConjunctMergeTest, ContradictoryConjunctsReturnNoRows) {
+  for (const char* where : {
+           "t_ca_id = 10 AND t_ca_id = 20",
+           "t_ca_id = 20 AND t_ca_id = 10",
+           "t_ca_id = 10 AND t_ca_id >= 11",
+           "t_ca_id >= 11 AND t_ca_id = 10",
+           "t_chrg = 0.12 AND t_chrg > 0.5",
+           "t_chrg > 0.5 AND t_chrg = 0.12",
+           "t_dts = '2013-11-18 10:00:00' AND t_dts > '2013-11-19 00:00:00'",
+           "t_ca_id > 11 AND t_ca_id < 11",
+           "t_chrg >= 0.13 AND t_chrg <= 0.12",
+       }) {
+    EXPECT_EQ(Count(where), 0) << where;
+    EXPECT_TRUE(Exec(std::string("SELECT * FROM trade WHERE ") + where)
+                    .rows.empty())
+        << where;
+  }
+}
+
+TEST_F(ConjunctMergeTest, CompatibleConjunctsKeepTheirRows) {
+  EXPECT_EQ(Count("t_ca_id = 10 AND t_ca_id = 10"), 2);
+  EXPECT_EQ(Count("t_ca_id = 10 AND t_ca_id >= 10"), 2);
+  EXPECT_EQ(Count("t_ca_id <= 11 AND t_ca_id = 11"), 1);
+  EXPECT_EQ(Count("t_ca_id >= 10 AND t_ca_id < 20"), 3);
+  EXPECT_EQ(Count("t_ca_id > 10 AND t_ca_id <= 11 AND t_ca_id >= 11"), 1);
+  EXPECT_EQ(Count("t_chrg >= 0.12 AND t_chrg > 0.12"), 2);
+}
+
 }  // namespace
 }  // namespace odh::sql

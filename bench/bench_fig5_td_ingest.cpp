@@ -10,8 +10,11 @@
 // stays real-time feasible everywhere; MySQL trails RDB.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "benchfw/json_report.h"
@@ -81,41 +84,93 @@ IngestMetrics RunThreaded(int threads, int64_t total_accounts,
 /// wired (default) vs. OdhOptions::enable_metrics = false. Instruments
 /// observe at flush/sync granularity, so the budget is <= 3% throughput.
 struct OverheadResult {
-  double rate_metrics_on = 0;
+  double rate_metrics_on = 0;   // Median over the repeats.
   double rate_metrics_off = 0;
-  double overhead_percent = 0;
+  double overhead_percent = 0;  // From the two medians.
+  double overhead_percent_min = 0;  // Range over the alternating pairs.
+  double overhead_percent_max = 0;
+  double arm_seconds_min = 0;   // Shortest arm's ingest wall time.
+  int repeats = 0;
 };
 
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  return n == 0 ? 0 : n % 2 == 1 ? values[n / 2]
+                                 : (values[n / 2 - 1] + values[n / 2]) / 2;
+}
+
 OverheadResult RunMetricsOverhead(int64_t account_unit, double duration) {
-  const TdConfig config = TdConfig::Of(5, 5, account_unit, duration);
-  OverheadResult out;
-  // Alternate arms and keep each arm's best rate: best-of filters
-  // scheduler noise better than averaging on a shared machine.
-  for (int rep = 0; rep < 3; ++rep) {
-    {
-      OdhTarget on;
-      out.rate_metrics_on = std::max(
-          out.rate_metrics_on, RunOne(config, &on, 0).Throughput());
-    }
-    {
-      core::OdhOptions opts;
-      opts.enable_metrics = false;
-      OdhTarget off(opts);
-      out.rate_metrics_off = std::max(
-          out.rate_metrics_off, RunOne(config, &off, 0).Throughput());
-    }
+  // A difference of a few percent needs arms long enough to average out
+  // scheduler noise: each arm ingests for at least kMinArmSeconds, and the
+  // arms alternate (first arm swapped every repeat) kRepeats times. The
+  // data span is sized from a probe run, with a 2x margin because one
+  // run's rate varies by a third on a shared machine.
+  constexpr double kMinArmSeconds = 1.0;
+  constexpr int kRepeats = 5;
+  double arm_duration = duration;
+  {
+    OdhTarget probe;
+    const double wall =
+        RunOne(TdConfig::Of(5, 5, account_unit, duration), &probe, 0)
+            .wall_seconds;
+    arm_duration *= std::max(
+        1.0, std::ceil(2 * kMinArmSeconds / std::max(wall, 1e-3)));
   }
+  const TdConfig config = TdConfig::Of(5, 5, account_unit, arm_duration);
+  auto run_arm = [&](bool metrics, double* arm_seconds) {
+    core::OdhOptions opts;
+    opts.enable_metrics = metrics;
+    OdhTarget target(opts);
+    const IngestMetrics m = RunOne(config, &target, 0);
+    *arm_seconds = std::min(*arm_seconds, m.wall_seconds);
+    return m.Throughput();
+  };
+  OverheadResult out;
+  out.repeats = kRepeats;
+  out.arm_seconds_min = std::numeric_limits<double>::infinity();
+  std::vector<double> on, off, pair_overhead;
+  for (int rep = 0; rep < kRepeats; ++rep) {
+    if (rep % 2 == 0) {
+      on.push_back(run_arm(true, &out.arm_seconds_min));
+      off.push_back(run_arm(false, &out.arm_seconds_min));
+    } else {
+      off.push_back(run_arm(false, &out.arm_seconds_min));
+      on.push_back(run_arm(true, &out.arm_seconds_min));
+    }
+    pair_overhead.push_back(off.back() > 0
+                                ? (off.back() - on.back()) / off.back() * 100
+                                : 0.0);
+  }
+  out.rate_metrics_on = Median(on);
+  out.rate_metrics_off = Median(off);
   out.overhead_percent =
       out.rate_metrics_off > 0
           ? (out.rate_metrics_off - out.rate_metrics_on) /
                 out.rate_metrics_off * 100.0
           : 0.0;
+  out.overhead_percent_min =
+      *std::min_element(pair_overhead.begin(), pair_overhead.end());
+  out.overhead_percent_max =
+      *std::max_element(pair_overhead.begin(), pair_overhead.end());
   std::printf(
-      "\nObservability overhead, TD(5,5): %s rec/s instrumented vs %s "
-      "rec/s bare -> %.2f%% (budget 3%%) %s\n",
+      "\nObservability overhead, TD(5,5), median of %d alternating pairs "
+      "(each arm >= %.2f s of ingest): %s rec/s instrumented [%s, %s] vs "
+      "%s rec/s bare [%s, %s] -> %.2f%% (pairs %.2f%% .. %.2f%%; budget "
+      "3%%) %s\n",
+      kRepeats, out.arm_seconds_min,
       TablePrinter::FormatCount(out.rate_metrics_on).c_str(),
+      TablePrinter::FormatCount(*std::min_element(on.begin(), on.end()))
+          .c_str(),
+      TablePrinter::FormatCount(*std::max_element(on.begin(), on.end()))
+          .c_str(),
       TablePrinter::FormatCount(out.rate_metrics_off).c_str(),
-      out.overhead_percent,
+      TablePrinter::FormatCount(*std::min_element(off.begin(), off.end()))
+          .c_str(),
+      TablePrinter::FormatCount(*std::max_element(off.begin(), off.end()))
+          .c_str(),
+      out.overhead_percent, out.overhead_percent_min,
+      out.overhead_percent_max,
       out.overhead_percent <= 3.0 ? "[within budget]" : "[OVER BUDGET]");
   return out;
 }
@@ -142,6 +197,10 @@ void RunScalingCurve(int max_threads, int64_t account_unit, double duration,
   json.KeyValue("rate_metrics_on", overhead.rate_metrics_on);
   json.KeyValue("rate_metrics_off", overhead.rate_metrics_off);
   json.KeyValue("overhead_percent", overhead.overhead_percent);
+  json.KeyValue("overhead_percent_min", overhead.overhead_percent_min);
+  json.KeyValue("overhead_percent_max", overhead.overhead_percent_max);
+  json.KeyValue("repeats", static_cast<int64_t>(overhead.repeats));
+  json.KeyValue("arm_seconds_min", overhead.arm_seconds_min);
   json.KeyValue("budget_percent", 3.0);
   json.EndObject();
   json.Key("runs");

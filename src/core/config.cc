@@ -102,6 +102,7 @@ std::vector<SourceId> ConfigComponent::SourcesOf(int schema_type) const {
   for (const auto& [id, info] : sources_) {
     if (info.schema_type == schema_type) out.push_back(id);
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -154,13 +155,16 @@ class ConfigComponent {
   /// All groups of a schema type (for slice-query fan-out).
   std::vector<int64_t> GroupsOf(int schema_type) const;
 
-  /// All registered sources of a schema type.
+  /// All registered sources of a schema type, in ascending id.
   std::vector<SourceId> SourcesOf(int schema_type) const;
 
  private:
   OdhOptions options_;
   std::vector<SchemaType> types_;
-  std::map<SourceId, DataSourceInfo> sources_;
+  /// Hashed: the writer and the router look a source up per record and
+  /// per query. Elements never move or erase, so GetSource's pointers stay
+  /// valid across a rehash; registration finishes before ingest starts.
+  std::unordered_map<SourceId, DataSourceInfo> sources_;
   std::map<int, std::vector<int64_t>> groups_by_type_;
   std::map<int, int64_t> next_group_slot_;
 };

@@ -173,7 +173,11 @@ Status OdhStore::LogPut(WalRecord::Kind kind, int schema_type,
     wal_->SetInstruments(wal_sync_hist_, wal_group_commits_,
                          wal_piggybacked_, wal_bytes_released_);
   }
+  // The header is at most a kind byte, a varint32, five varint64s and two
+  // varint32 lengths: reserve once so a large blob is copied in once.
+  constexpr size_t kMaxHeader = 1 + 5 + 5 * 10 + 2 * 5;
   std::string payload;
+  payload.reserve(kMaxHeader + blob.size() + zone_map.size());
   EncodeWalPayload(kind, schema_type, id_or_group, begin, end, interval, n,
                    blob, zone_map, &payload);
   const uint64_t at = wal_->Append(payload);

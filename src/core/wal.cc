@@ -185,12 +185,15 @@ Status Wal::Sync() {
   }
 
   // Leader: take the whole queue (our records plus any appended since) and
-  // write it with the mutex released, so appenders keep streaming into a
-  // fresh queue. tail_pages_ and tail_page_ are leader-only state, handed
-  // from leader to leader through mu_.
+  // write it with the mutex released, so appenders keep streaming into the
+  // spare queue, which the previous leader emptied but did not release: a
+  // queue of the last batch's size does not regrow from zero.
+  // tail_pages_, tail_page_ and spare_ are leader-only state, handed from
+  // leader to leader through mu_.
   sync_active_ = true;
-  std::string batch = std::move(pending_);
-  pending_.clear();
+  std::string batch;
+  batch.swap(spare_);
+  batch.swap(pending_);
   const uint64_t batch_target =
       records_appended_.load(std::memory_order_relaxed);
   lock.unlock();
@@ -260,8 +263,10 @@ Status Wal::Sync() {
     // equals append order.
     batch.erase(0, consumed);
     batch.append(pending_);
-    pending_ = std::move(batch);
+    pending_.swap(batch);
   }
+  batch.clear();
+  spare_.swap(batch);
   sync_active_ = false;
   lock.unlock();
   sync_cv_.notify_all();

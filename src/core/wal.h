@@ -272,6 +272,7 @@ class Wal {
   // Leader-only state (handed off leader-to-leader through mu_).
   uint64_t tail_pages_ = 0;             // Pages allocated in the tail file.
   std::unique_ptr<char[]> tail_page_;   // Image of the last durable page.
+  std::string spare_;                   // Empty queue that keeps capacity.
 
   std::atomic<uint64_t> synced_bytes_{0};  // Durable log end (an LSN).
   std::atomic<uint64_t> head_lsn_{0};

@@ -86,33 +86,43 @@ Status OdhWriter::Ingest(const OperationalRecord& record) {
                      : ShardForGroup(info->schema_type, info->group);
   std::lock_guard<std::mutex> lock(shard.mu);
 
-  auto [ts_it, first] = shard.last_ts.try_emplace(record.id, kMinTimestamp);
-  if (!first && record.ts < ts_it->second) {
+  SourceState& state = shard.sources[record.id];
+  if (record.ts < state.last_ts) {
     return Status::InvalidArgument(
         "timestamps must be non-decreasing per source");
   }
-  ts_it->second = record.ts;
+  state.last_ts = record.ts;
   ++shard.stats.points_ingested;
+  if (state.info == nullptr) {  // The source's first record in this shard.
+    state.info = info;
+    if (high_freq) {
+      state.buffer = std::make_unique<SeriesBatch>();
+      state.buffer->id = record.id;
+      state.buffer->columns.resize(type->tag_names.size());
+    } else {
+      state.group = &shard.group_buffers[{info->schema_type, info->group}];
+    }
+  }
 
   const int b = config_->options().batch_size;
   if (high_freq) {
-    SourceBuffer& buffer = shard.source_buffers[record.id];
-    if (buffer.columns.empty()) {
-      buffer.columns.resize(type->tag_names.size());
+    SeriesBatch& buffer = *state.buffer;
+    if (!state.listed) {
+      shard.buffered.emplace_back(record.id, &state);
+      state.listed = true;
     }
     buffer.timestamps.push_back(record.ts);
     for (size_t t = 0; t < record.tags.size(); ++t) {
       buffer.columns[t].push_back(record.tags[t]);
     }
-    if (static_cast<int>(buffer.size()) >= b) {
-      ODH_RETURN_IF_ERROR(FlushSource(shard, record.id, *info, &buffer));
+    if (static_cast<int>(buffer.num_points()) >= b) {
+      ODH_RETURN_IF_ERROR(FlushSource(shard, &state));
     }
     return Status::OK();
   }
 
   // Low-frequency: mixed grouping.
-  GroupBuffer& buffer =
-      shard.group_buffers[{info->schema_type, info->group}];
+  GroupBuffer& buffer = *state.group;
   if (buffer.records.empty()) buffer.window_begin = record.ts;
   const Timestamp window = config_->options().mg_window;
   if (record.ts - buffer.window_begin > window &&
@@ -129,19 +139,22 @@ Status OdhWriter::Ingest(const OperationalRecord& record) {
   return Status::OK();
 }
 
-Status OdhWriter::FlushSource(Shard& shard, SourceId id,
-                              const DataSourceInfo& info,
-                              SourceBuffer* buffer) {
-  if (buffer->timestamps.empty()) return Status::OK();
+Status OdhWriter::FlushSource(Shard& shard, SourceState* state) {
+  SeriesBatch& batch = *state->buffer;
+  if (batch.timestamps.empty()) return Status::OK();
   const Stopwatch flush_timer;
+  const DataSourceInfo& info = *state->info;
   ODH_ASSIGN_OR_RETURN(const ValueBlobCodec* codec,
                        CodecFor(info.schema_type));
-  SeriesBatch batch;
-  batch.id = id;
-  batch.timestamps = std::move(buffer->timestamps);
-  batch.columns = std::move(buffer->columns);
-  buffer->timestamps.clear();
-  buffer->columns.clear();
+  // The buffer is emptied whether or not the put succeeds (a failed put
+  // drops its points), but keeps its capacity for the next interval.
+  struct Clear {
+    SeriesBatch* batch;
+    ~Clear() {
+      batch->timestamps.clear();
+      for (std::vector<double>& column : batch->columns) column.clear();
+    }
+  } clear{&batch};
 
   const size_t n = batch.timestamps.size();
   const Timestamp begin = batch.timestamps.front();
@@ -175,14 +188,14 @@ Status OdhWriter::FlushSource(Shard& shard, SourceId id,
       batch.timestamps[i] = begin + static_cast<Timestamp>(i) * interval;
     }
     ODH_RETURN_IF_ERROR(codec->EncodeRts(batch, interval, &blob));
-    ODH_RETURN_IF_ERROR(store_->PutRts(info.schema_type, id, begin,
+    ODH_RETURN_IF_ERROR(store_->PutRts(info.schema_type, info.id, begin,
                                        batch.timestamps.back(), interval,
                                        static_cast<int64_t>(n), blob,
                                        zone_map, &shard.last_put_seq));
     ++shard.stats.rts_blobs;
   } else {
     ODH_RETURN_IF_ERROR(codec->EncodeIrts(batch, &blob));
-    ODH_RETURN_IF_ERROR(store_->PutIrts(info.schema_type, id, begin, end,
+    ODH_RETURN_IF_ERROR(store_->PutIrts(info.schema_type, info.id, begin, end,
                                         static_cast<int64_t>(n), blob,
                                         zone_map, &shard.last_put_seq));
     ++shard.stats.irts_blobs;
@@ -231,13 +244,20 @@ Status OdhWriter::Flush(int schema_type) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto& [id, buffer] : shard.source_buffers) {
-      if (buffer.size() == 0) continue;
-      ODH_ASSIGN_OR_RETURN(const DataSourceInfo* info,
-                           config_->GetSource(id));
-      if (info->schema_type != schema_type) continue;
-      ODH_RETURN_IF_ERROR(FlushSource(shard, id, *info, &buffer));
+    // Ascending id within the shard, as the store's bytes depend on it.
+    std::sort(shard.buffered.begin(), shard.buffered.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    Status flushed;
+    for (auto& [id, state] : shard.buffered) {
+      (void)id;
+      if (state->info->schema_type != schema_type) continue;
+      flushed = FlushSource(shard, state);
+      if (!flushed.ok()) break;
+      state->listed = false;
     }
+    std::erase_if(shard.buffered,
+                  [](const auto& entry) { return !entry.second->listed; });
+    ODH_RETURN_IF_ERROR(flushed);
     for (auto& [key, buffer] : shard.group_buffers) {
       if (key.first != schema_type) continue;
       ODH_RETURN_IF_ERROR(FlushGroup(shard, key.first, key.second, &buffer));
@@ -290,22 +310,31 @@ Status OdhWriter::CollectDirty(int schema_type, SourceId id, Timestamp lo,
     const Shard& shard = *shards_[s];
     std::lock_guard<std::mutex> lock(shard.mu);
     put_seq = std::max(put_seq, shard.last_put_seq);
-    for (const auto& [source_id, buffer] : shard.source_buffers) {
-      if (id >= 0 && source_id != id) continue;
-      if (buffer.size() == 0) continue;
-      auto info = config_->GetSource(source_id);
-      if (!info.ok() || (*info)->schema_type != schema_type) continue;
-      std::vector<OperationalRecord>& dst = by_source[source_id];
-      for (size_t i = 0; i < buffer.size(); ++i) {
+    auto collect = [&](const SourceState& state) {
+      if (state.buffer == nullptr) return;
+      const SeriesBatch& buffer = *state.buffer;
+      if (buffer.timestamps.empty()) return;
+      if (state.info->schema_type != schema_type) return;
+      std::vector<OperationalRecord>& dst = by_source[buffer.id];
+      for (size_t i = 0; i < buffer.num_points(); ++i) {
         if (buffer.timestamps[i] < lo || buffer.timestamps[i] > hi) continue;
         OperationalRecord record;
-        record.id = source_id;
+        record.id = buffer.id;
         record.ts = buffer.timestamps[i];
         record.tags.resize(buffer.columns.size());
         for (size_t t = 0; t < buffer.columns.size(); ++t) {
           record.tags[t] = buffer.columns[t][i];
         }
         dst.push_back(std::move(record));
+      }
+    };
+    if (id >= 0) {
+      auto it = shard.sources.find(id);
+      if (it != shard.sources.end()) collect(it->second);
+    } else {
+      for (const auto& [source_id, state] : shard.buffered) {
+        (void)source_id;
+        collect(*state);
       }
     }
     for (const auto& [key, buffer] : shard.group_buffers) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -40,14 +41,16 @@ struct WriterStats {
 /// CollectDirty — the paper's dirty-read isolation level.
 ///
 /// Thread-safe: the writer is split into `options().writer_shards`
-/// independent shards, each owning its sources' buffers, last-timestamp
-/// watermarks and counters under its own mutex. A high-frequency source
-/// maps to a shard by source id; a low-frequency source by its MG group,
-/// so a group buffer is only ever touched by one shard. Blob encoding runs
-/// under the shard mutex but outside any store lock — lock order is
-/// writer shard -> store -> WAL -> disk. Ingest may be called from many
-/// threads; per-source timestamp monotonicity is still required (a single
-/// source must not be fed from two threads at once without ordering).
+/// independent shards, each owning its sources' slots (last-timestamp
+/// watermark plus, for high-frequency sources, the column buffer), its
+/// group buffers and its counters under its own mutex. A high-frequency
+/// source maps to a shard by source id; a low-frequency source by its MG
+/// group, so a group buffer is only ever touched by one shard. Blob
+/// encoding runs under the shard mutex but outside any store lock — lock
+/// order is writer shard -> store -> WAL -> disk. Ingest may be called from
+/// many threads; per-source timestamp monotonicity is still required (a
+/// single source must not be fed from two threads at once without
+/// ordering).
 class OdhWriter {
  public:
   OdhWriter(OdhStore* store, ConfigComponent* config);
@@ -98,20 +101,38 @@ class OdhWriter {
   }
 
  private:
-  struct SourceBuffer {
-    std::vector<Timestamp> timestamps;
-    std::vector<std::vector<double>> columns;  // Tag-major.
-    size_t size() const { return timestamps.size(); }
-  };
   struct GroupBuffer {
     std::vector<OperationalRecord> records;
     Timestamp window_begin = 0;
   };
+  /// One slot per source that reached the shard, found with one hash
+  /// lookup per record. A high-frequency source buffers in `buffer`, which
+  /// a flush clears but does not release, so the next interval fills
+  /// vectors that already have their capacity. A low-frequency source
+  /// points at its MG group's buffer instead. The buffer lives out of line
+  /// so a low-frequency slot stays small: slots live as long as the
+  /// system, one per source (100k on Figure 6's LD(5)). With the buffer
+  /// inline (112-byte slots), the relational candidates that
+  /// `bench_fig6_ld_ingest` runs in the same process while the ODH target
+  /// is alive inserted 2-3x slower.
+  struct SourceState {
+    Timestamp last_ts = kMinTimestamp;
+    const DataSourceInfo* info = nullptr;  // Stable: config never erases.
+    std::unique_ptr<SeriesBatch> buffer;   // High-frequency: tag-major.
+    GroupBuffer* group = nullptr;          // Stable: groups never erase.
+    /// True while the slot sits in the shard's `buffered` list.
+    bool listed = false;
+  };
   struct Shard {
     mutable std::mutex mu;
-    std::map<SourceId, SourceBuffer> source_buffers;
+    std::unordered_map<SourceId, SourceState> sources;
+    /// High-frequency slots whose buffer took a point since they were
+    /// last flushed: every non-empty buffer is listed. Flush sorts the list
+    /// by id, so one shard's blobs are put in ascending source id whatever
+    /// the hash order: the put order fixes rids and heap packing, hence
+    /// every stored byte.
+    std::vector<std::pair<SourceId, SourceState*>> buffered;
     std::map<std::pair<int, int64_t>, GroupBuffer> group_buffers;
-    std::map<SourceId, Timestamp> last_ts;
     WriterStats stats;  // Guarded by mu; syncs/sync_retries stay zero.
     /// Store put sequence of this shard's latest flushed blob.
     uint64_t last_put_seq = 0;
@@ -122,8 +143,7 @@ class OdhWriter {
   size_t ShardIndexForSource(SourceId id) const;
   size_t ShardIndexForGroup(int schema_type, int64_t group) const;
 
-  Status FlushSource(Shard& shard, SourceId id, const DataSourceInfo& info,
-                     SourceBuffer* buffer);
+  Status FlushSource(Shard& shard, SourceState* state);
   Status FlushGroup(Shard& shard, int schema_type, int64_t group,
                     GroupBuffer* buffer);
 

@@ -17,6 +17,35 @@ constexpr char kV2Version = 2;
 constexpr char kAbsent = 0;          // No values for this tag.
 constexpr char kPresentAgg = 1;      // min/max + count/sum follow.
 constexpr char kPresentMinMax = 2;   // min/max only (re-encoded v1 data).
+
+// Min, max, count and sum of one tag's non-NaN values, kept in locals while
+// folding so the compiler need not assume a store to the entry aliases the
+// values; the entry is written once, at the end. Values are added in their
+// order: the sum's bytes depend on it.
+struct TagFold {
+  double min = 0;
+  double max = 0;
+  double sum = 0;
+  int64_t count = 0;
+
+  void Add(double v) {
+    if (std::isnan(v)) return;
+    if (count == 0 || v < min) min = v;
+    if (count == 0 || v > max) max = v;
+    ++count;
+    sum += v;
+  }
+
+  template <typename Entry>
+  void StoreTo(Entry* entry) const {
+    entry->has_agg = true;
+    entry->present = count > 0;
+    entry->min = min;
+    entry->max = max;
+    entry->count = count;
+    entry->sum = sum;
+  }
+};
 }  // namespace
 
 ZoneMap ZoneMap::FromColumns(
@@ -24,16 +53,9 @@ ZoneMap ZoneMap::FromColumns(
   ZoneMap map;
   map.entries_.resize(columns.size());
   for (size_t t = 0; t < columns.size(); ++t) {
-    Entry& entry = map.entries_[t];
-    entry.has_agg = true;
-    for (double v : columns[t]) {
-      if (std::isnan(v)) continue;
-      if (!entry.present || v < entry.min) entry.min = v;
-      if (!entry.present || v > entry.max) entry.max = v;
-      entry.present = true;
-      entry.count++;
-      entry.sum += v;
-    }
+    TagFold fold;
+    for (double v : columns[t]) fold.Add(v);
+    fold.StoreTo(&map.entries_[t]);
   }
   return map;
 }
@@ -42,18 +64,10 @@ ZoneMap ZoneMap::FromRecords(const std::vector<OperationalRecord>& records,
                              int num_tags) {
   ZoneMap map;
   map.entries_.resize(num_tags);
-  for (Entry& entry : map.entries_) entry.has_agg = true;
-  for (const OperationalRecord& record : records) {
-    for (int t = 0; t < num_tags; ++t) {
-      double v = record.tags[t];
-      if (std::isnan(v)) continue;
-      Entry& entry = map.entries_[t];
-      if (!entry.present || v < entry.min) entry.min = v;
-      if (!entry.present || v > entry.max) entry.max = v;
-      entry.present = true;
-      entry.count++;
-      entry.sum += v;
-    }
+  for (int t = 0; t < num_tags; ++t) {
+    TagFold fold;
+    for (const OperationalRecord& record : records) fold.Add(record.tags[t]);
+    fold.StoreTo(&map.entries_[t]);
   }
   return map;
 }

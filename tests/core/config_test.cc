@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 namespace odh::core {
 namespace {
 
@@ -104,6 +107,24 @@ TEST(ConfigTest, SourcesOfFiltersByType) {
   ASSERT_TRUE(config.RegisterSource(3, a, 100, true).ok());
   EXPECT_EQ(config.SourcesOf(a), (std::vector<SourceId>{1, 3}));
   EXPECT_EQ(config.SourcesOf(b), (std::vector<SourceId>{2}));
+}
+
+TEST(ConfigTest, SourcesOfIsAscendingWhateverTheRegistrationOrder) {
+  ConfigComponent config{SmallGroups()};
+  int a = config.DefineSchemaType({"a", {"v"}, {}}).value();
+  int b = config.DefineSchemaType({"b", {"v"}, {}}).value();
+  std::vector<SourceId> want_a, want_b;
+  // Descending, striped across the types, high and low frequency mixed.
+  for (SourceId id = 5000; id > 0; id -= 7) {
+    const int type = id % 2 == 0 ? a : b;
+    const Timestamp interval = id % 3 == 0 ? kMicrosPerMinute : 1000;
+    ASSERT_TRUE(config.RegisterSource(id, type, interval, true).ok());
+    (type == a ? want_a : want_b).push_back(id);
+  }
+  std::sort(want_a.begin(), want_a.end());
+  std::sort(want_b.begin(), want_b.end());
+  EXPECT_EQ(config.SourcesOf(a), want_a);
+  EXPECT_EQ(config.SourcesOf(b), want_b);
 }
 
 }  // namespace

@@ -257,13 +257,22 @@ int Run(int argc, char** argv) {
   for (int i = 1; i <= 5; ++i) {
     for (int j = 1; j <= 5; ++j) {
       TdConfig config = TdConfig::Of(i, j, account_unit, duration);
-      OdhTarget odh;
-      IngestMetrics m_odh = RunOne(config, &odh, /*wall_limit=*/0);
+      // Each candidate runs alone: its target is destroyed before the next
+      // one starts, so no candidate's live heap shapes another's figures.
+      IngestMetrics m_odh, m_rdb, m_mysql;
+      {
+        OdhTarget odh;
+        m_odh = RunOne(config, &odh, /*wall_limit=*/0);
+      }
       last_odh = m_odh;
-      RelationalTarget rdb(relational::EngineProfile::Rdb(), 1000);
-      IngestMetrics m_rdb = RunOne(config, &rdb, wall_limit);
-      RelationalTarget mysql(relational::EngineProfile::MySql(), 1000);
-      IngestMetrics m_mysql = RunOne(config, &mysql, wall_limit);
+      {
+        RelationalTarget rdb(relational::EngineProfile::Rdb(), 1000);
+        m_rdb = RunOne(config, &rdb, wall_limit);
+      }
+      {
+        RelationalTarget mysql(relational::EngineProfile::MySql(), 1000);
+        m_mysql = RunOne(config, &mysql, wall_limit);
+      }
 
       auto rt = [](const IngestMetrics& m) {
         return m.RealTimeFeasible() ? std::string("yes") : std::string("NO");

@@ -150,12 +150,21 @@ int Run(int argc, char** argv) {
     LdConfig config = LdConfig::Of(i, sensor_unit, /*duration_seconds=*/60);
     double dp_mult = DpPerRecord(config);
 
-    OdhTarget odh;
-    IngestMetrics m_odh = RunOne(config, &odh, /*wall_limit=*/0);
-    RelationalTarget rdb(relational::EngineProfile::Rdb(), 1000);
-    IngestMetrics m_rdb = RunOne(config, &rdb, /*wall_limit=*/3);
-    RelationalTarget mysql(relational::EngineProfile::MySql(), 1000);
-    IngestMetrics m_mysql = RunOne(config, &mysql, /*wall_limit=*/3);
+    // Each candidate runs alone: its target is destroyed before the next
+    // one starts, so no candidate's live heap shapes another's figures.
+    IngestMetrics m_odh, m_rdb, m_mysql;
+    {
+      OdhTarget odh;
+      m_odh = RunOne(config, &odh, /*wall_limit=*/0);
+    }
+    {
+      RelationalTarget rdb(relational::EngineProfile::Rdb(), 1000);
+      m_rdb = RunOne(config, &rdb, /*wall_limit=*/3);
+    }
+    {
+      RelationalTarget mysql(relational::EngineProfile::MySql(), 1000);
+      m_mysql = RunOne(config, &mysql, /*wall_limit=*/3);
+    }
 
     auto rt = [](const IngestMetrics& m) {
       return m.RealTimeFeasible() ? std::string("yes") : std::string("NO");

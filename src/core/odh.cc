@@ -148,6 +148,11 @@ void OdhSystem::RegisterGauges() {
   m->RegisterGauge("odh.store.segments_dropped", [store] {
     return static_cast<double>(store->segments_dropped());
   });
+  // What the in-memory RTS/IRTS index holds: one entry per live series
+  // blob, so it tracks odh_storage's rts + irts blob_count.
+  m->RegisterGauge("odh.store.series_directory_entries", [store] {
+    return static_cast<double>(store->series_directory_entries());
+  });
   m->RegisterGauge("odh.reader.segments_pruned", [reader] {
     return static_cast<double>(reader->stats().segments_pruned);
   });

@@ -84,14 +84,14 @@ Result<OdhStore::Segment> OdhStore::CreateSegment(int schema_type,
   seg.manifest.generation = generation;
   seg.mg_epoch = generation;
   const std::string prefix = SegmentPrefix(type->name, key, generation);
-  // B-tree indexes on the first two fields of each batch structure
-  // (paper §2: "B-tree indices are created on the first two fields").
+  // An index on the first two fields of each batch structure (paper §2:
+  // "B-tree indices are created on the first two fields"). RTS and IRTS
+  // keep theirs in memory (seg.rts_dir / seg.irts_dir), so a series put
+  // pays no tree insert; MG keeps the on-disk B-tree.
   ODH_ASSIGN_OR_RETURN(seg.rts,
                        db_->CreateTable(prefix + "rts", SeriesSchema()));
-  ODH_RETURN_IF_ERROR(seg.rts->AddIndex({"pk", {kSeriesId, kSeriesBegin}}));
   ODH_ASSIGN_OR_RETURN(seg.irts,
                        db_->CreateTable(prefix + "irts", SeriesSchema()));
-  ODH_RETURN_IF_ERROR(seg.irts->AddIndex({"pk", {kSeriesId, kSeriesBegin}}));
   ODH_ASSIGN_OR_RETURN(seg.mg, db_->CreateTable(prefix + "mg", MgSchema()));
   ODH_RETURN_IF_ERROR(seg.mg->AddIndex({"pk", {kMgBegin, kMgGroup}}));
   return seg;
@@ -151,6 +151,33 @@ Result<OdhStore::Segment*> OdhStore::GetSegmentForWrite(
     it = container->segments.emplace(key, std::move(seg)).first;
   }
   return &it->second;
+}
+
+namespace {
+
+bool DirectoryLess(const SeriesDirectory::Entry& a,
+                   const SeriesDirectory::Entry& b) {
+  return std::tie(a.begin, a.rid.page, a.rid.slot) <
+         std::tie(b.begin, b.rid.page, b.rid.slot);
+}
+
+}  // namespace
+
+void SeriesDirectory::Add(SourceId id, Timestamp begin,
+                          const relational::Rid& rid) {
+  std::vector<Entry>& list = by_source[id];
+  const Entry entry{begin, rid};
+  // A source's blobs arrive in begin order almost always (flushes,
+  // replay in log order, compaction output), so this is an append; a
+  // late blob is inserted at its place.
+  if (list.empty() || !DirectoryLess(entry, list.back())) {
+    list.push_back(entry);
+  } else {
+    list.insert(std::upper_bound(list.begin(), list.end(), entry,
+                                 DirectoryLess),
+                entry);
+  }
+  ++entries;
 }
 
 void OdhStore::UpdateStats(ContainerStats* stats, Timestamp begin,
@@ -247,6 +274,7 @@ Status OdhStore::PutRts(int schema_type, SourceId id, Timestamp begin,
              Datum::Int64(n),        Datum::String(blob),
              Datum::String(zone_map)};
   ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->rts->Insert(row));
+  seg->rts_dir.Add(id, begin, rid);
   UpdateStats(&seg->rts_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
   LogRecentPut(schema_type, WalRecord::Kind::kRts, id, begin,
@@ -269,6 +297,7 @@ Status OdhStore::PutIrts(int schema_type, SourceId id, Timestamp begin,
              Datum::Int64(0),  Datum::Int64(n),    Datum::String(blob),
              Datum::String(zone_map)};
   ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->irts->Insert(row));
+  seg->irts_dir.Add(id, begin, rid);
   UpdateStats(&seg->irts_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
   LogRecentPut(schema_type, WalRecord::Kind::kIrts, id, begin,
@@ -312,23 +341,27 @@ void OdhStore::LogRecentPut(int schema_type, WalRecord::Kind kind,
 
 namespace {
 
-Status ScanSeries(relational::Table* table, const ContainerStats& stats,
-                  int64_t seg_key, int64_t generation, SourceId id,
-                  Timestamp lo, Timestamp hi,
+Status ScanSeries(relational::Table* table, const SeriesDirectory& dir,
+                  const ContainerStats& stats, int64_t seg_key,
+                  int64_t generation, SourceId id, Timestamp lo, Timestamp hi,
                   std::atomic<int64_t>* examined,
                   std::atomic<int64_t>* discarded,
                   std::vector<BlobRecord>* out) {
+  auto source = dir.by_source.find(id);
+  if (source == dir.by_source.end()) return Status::OK();
   // Partition elimination: only blobs with begin_ts in
   // [lo - max_span, hi] can overlap [lo, hi].
   Timestamp scan_lo =
       lo == kMinTimestamp ? kMinTimestamp : lo - stats.max_span;
   if (scan_lo > lo) scan_lo = kMinTimestamp;  // Underflow guard.
-  std::string lo_key = EncodeKey({Datum::Int64(id), Datum::Time(scan_lo)});
-  std::string hi_key = EncodeKey({Datum::Int64(id), Datum::Time(hi)});
-  ODH_ASSIGN_OR_RETURN(relational::Table::IndexIterator it,
-                       table->IndexScan(0, lo_key, hi_key));
-  while (it.Valid()) {
-    ODH_ASSIGN_OR_RETURN(Row row, table->Get(it.rid()));
+  const std::vector<SeriesDirectory::Entry>& list = source->second;
+  auto it = std::lower_bound(
+      list.begin(), list.end(), scan_lo,
+      [](const SeriesDirectory::Entry& e, Timestamp t) {
+        return e.begin < t;
+      });
+  for (; it != list.end() && it->begin <= hi; ++it) {
+    ODH_ASSIGN_OR_RETURN(Row row, table->Get(it->rid));
     BlobRecord rec;
     rec.id = row[0].int64_value();
     rec.begin = row[1].timestamp_value();
@@ -337,7 +370,7 @@ Status ScanSeries(relational::Table* table, const ContainerStats& stats,
     rec.n = row[4].int64_value();
     rec.blob = row[5].string_value();
     rec.zone_map = row[6].string_value();
-    rec.rid = it.rid();
+    rec.rid = it->rid;
     rec.seg = seg_key;
     rec.generation = generation;
     examined->fetch_add(1, std::memory_order_relaxed);
@@ -346,7 +379,6 @@ Status ScanSeries(relational::Table* table, const ContainerStats& stats,
     } else {
       discarded->fetch_add(1, std::memory_order_relaxed);
     }
-    ODH_RETURN_IF_ERROR(it.Next());
   }
   return Status::OK();
 }
@@ -364,8 +396,9 @@ Result<std::vector<BlobRecord>> OdhStore::GetSeriesLocked(
       if (sstats.blob_count > 0) CountSegmentPruned(stats);
       continue;
     }
-    ODH_RETURN_IF_ERROR(ScanSeries(irts ? seg.irts : seg.rts, sstats, key,
-                                   seg.manifest.generation, id, lo, hi,
+    ODH_RETURN_IF_ERROR(ScanSeries(irts ? seg.irts : seg.rts,
+                                   irts ? seg.irts_dir : seg.rts_dir, sstats,
+                                   key, seg.manifest.generation, id, lo, hi,
                                    &blobs_examined_, &blobs_discarded_,
                                    &out));
   }
@@ -861,6 +894,19 @@ Result<int64_t> OdhStore::ApplyRetention(int schema_type) {
   return static_cast<int64_t>(expired.size());
 }
 
+int64_t OdhStore::series_directory_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  int64_t total = 0;
+  for (const auto& [schema_type, container] : containers_) {
+    (void)schema_type;
+    for (const auto& [key, seg] : container.segments) {
+      (void)key;
+      total += seg.rts_dir.entries + seg.irts_dir.entries;
+    }
+  }
+  return total;
+}
+
 std::vector<int64_t> OdhStore::SealedHotSegments(int schema_type) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<int64_t> out;
@@ -960,18 +1006,17 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
   const std::string prefix = SegmentPrefix(type->name, key, next_gen);
   ODH_ASSIGN_OR_RETURN(relational::Table * new_rts,
                        db_->CreateTable(prefix + "rts", SeriesSchema()));
-  ODH_RETURN_IF_ERROR(new_rts->AddIndex({"pk", {kSeriesId, kSeriesBegin}}));
   ODH_ASSIGN_OR_RETURN(relational::Table * new_irts,
                        db_->CreateTable(prefix + "irts", SeriesSchema()));
-  ODH_RETURN_IF_ERROR(
-      new_irts->AddIndex({"pk", {kSeriesId, kSeriesBegin}}));
   ContainerStats rts_stats, irts_stats;
+  SeriesDirectory rts_dir, irts_dir;
   for (const BlobRecord& rec : rts) {
     Row row = {Datum::Int64(rec.id),       Datum::Time(rec.begin),
                Datum::Time(rec.end),       Datum::Int64(rec.interval),
                Datum::Int64(rec.n),        Datum::String(rec.blob),
                Datum::String(rec.zone_map)};
-    ODH_RETURN_IF_ERROR(new_rts->Insert(row).status());
+    ODH_ASSIGN_OR_RETURN(relational::Rid rid, new_rts->Insert(row));
+    rts_dir.Add(rec.id, rec.begin, rid);
     UpdateStats(&rts_stats, rec.begin, rec.end, rec.n, rec.blob.size());
   }
   for (const BlobRecord& rec : irts) {
@@ -979,7 +1024,8 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
                Datum::Time(rec.end), Datum::Int64(0),
                Datum::Int64(rec.n),  Datum::String(rec.blob),
                Datum::String(rec.zone_map)};
-    ODH_RETURN_IF_ERROR(new_irts->Insert(row).status());
+    ODH_ASSIGN_OR_RETURN(relational::Rid rid, new_irts->Insert(row));
+    irts_dir.Add(rec.id, rec.begin, rid);
     UpdateStats(&irts_stats, rec.begin, rec.end, rec.n, rec.blob.size());
   }
   ODH_RETURN_IF_ERROR(new_rts->Commit());
@@ -988,6 +1034,8 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
   ODH_RETURN_IF_ERROR(db_->DropTable(seg.irts->name()));
   seg.rts = new_rts;
   seg.irts = new_irts;
+  seg.rts_dir = std::move(rts_dir);
+  seg.irts_dir = std::move(irts_dir);
   seg.rts_stats = rts_stats;
   seg.irts_stats = irts_stats;
   seg.manifest.generation = next_gen;

@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -140,12 +141,33 @@ struct SegmentSnapshot {
   std::vector<BlobRecord> irts;
 };
 
+/// The index of one segment's RTS or IRTS table on its first two fields:
+/// every row's rid, per source in (begin, rid) order with the rid compared
+/// as (page, slot). Listings return blobs in that order; the reader's
+/// ordered merge and CatchUpHistorical rely on it. It lives only in
+/// memory: the WAL holds every live series blob and Recover() replays
+/// each through PutRts/PutIrts, which refill it. Series rows are never
+/// deleted one by one (a segment is swapped or dropped whole), so an
+/// entry lives as long as its table.
+struct SeriesDirectory {
+  struct Entry {
+    Timestamp begin = 0;
+    relational::Rid rid;
+  };
+  std::unordered_map<SourceId, std::vector<Entry>> by_source;
+  int64_t entries = 0;
+
+  void Add(SourceId id, Timestamp begin, const relational::Rid& rid);
+};
+
 /// The ODH storage component: containers per schema type, each split into
 /// time-partitioned segments. A segment owns a contiguous nominal time
 /// range [lo, hi) of blobs — routed by floor(begin_ts / segment_span) — as
 /// its own RTS / IRTS / MG table triple in the embedded relational engine,
-/// with B-tree indexes on the first two fields of each structure (the
-/// paper's Figure 1 layout, now per segment). A per-segment manifest keeps
+/// indexed on the first two fields of each structure (the paper's Figure 1
+/// layout, now per segment): MG by an on-disk B-tree, RTS and IRTS by an
+/// in-memory series directory per segment (DESIGN.md § B+tree reads in
+/// place), rebuilt from the WAL on recovery. A per-segment manifest keeps
 /// the time bounds, tier, generation and per-structure stats; every scan
 /// consults the manifests first, so a recent-window query skips cold
 /// history with O(segments) metadata checks and zero page reads
@@ -160,17 +182,17 @@ struct SegmentSnapshot {
 /// map erase — never a scan-and-delete. Both are WAL-logged so Recover()
 /// replays a committed rewrite/drop and rolls back an uncommitted one.
 ///
-/// Thread-safe: one store mutex serializes table mutations, index scans,
-/// stats updates and WAL appends (the relational tables underneath are not
-/// concurrent). Writer shards do their buffering and blob encoding outside
-/// this lock, so the store is the serialization point, not the whole write
-/// path. Lock order: writer shard -> store -> WAL -> disk; the store never
-/// calls back into the writer. Exception: Recover() takes no lock itself
-/// (it replays through the locked Put/Sync entry points and runs on a
-/// quiescent store). Slice scans materialize one bounded chunk of rows per
-/// call under the mutex (NextSliceChunk), so no table pointer or iterator
-/// ever leaves the lock — a concurrent retention drop can never invalidate
-/// a cursor mid-scan.
+/// Thread-safe: one store mutex serializes table mutations, index and
+/// directory scans, stats updates and WAL appends (the relational tables
+/// underneath are not concurrent). Writer shards do their buffering and
+/// blob encoding outside this lock, so the store is the serialization
+/// point, not the whole write path. Lock order: writer shard -> store ->
+/// WAL -> disk; the store never calls back into the writer. Exception:
+/// Recover() takes no lock itself (it replays through the locked Put/Sync
+/// entry points and runs on a quiescent store). Slice scans materialize
+/// one bounded chunk of rows per call under the mutex (NextSliceChunk), so
+/// no table pointer or iterator ever leaves the lock — a concurrent
+/// retention drop can never invalidate a cursor mid-scan.
 class OdhStore {
  public:
   /// Name of the store's write-ahead log file on the database disk. (The
@@ -372,9 +394,10 @@ class OdhStore {
   /// SimDisk::CloneDurable()) into this store. Containers for every schema
   /// type appearing in the log must already exist — the caller re-creates
   /// its schema types, then recovers. Replayed blobs go through the normal
-  /// Put path, so heap rows, B-tree entries, container stats and this
-  /// store's own WAL are all rebuilt. The torn tail (an interrupted Sync)
-  /// is detected via per-record CRC32C and dropped.
+  /// Put path, so heap rows, MG B-tree entries, series directories,
+  /// container stats and this store's own WAL are all rebuilt. The torn
+  /// tail (an interrupted Sync) is detected via per-record CRC32C and
+  /// dropped.
   ///
   /// Replay starts at the log's head: everything below it was freed
   /// because no live segment needed it. Segment ops replay in two passes:
@@ -504,6 +527,9 @@ class OdhStore {
   int64_t segments_dropped() const {
     return segments_dropped_.load(std::memory_order_relaxed);
   }
+  /// Entries the series directories of every live segment hold: one per
+  /// live RTS/IRTS blob.
+  int64_t series_directory_entries() const;
 
   /// Decodes a series-container row fetched by a streaming scan.
   static Status RowToBlobRecord(const Row& row, const relational::Rid& rid,
@@ -519,6 +545,8 @@ class OdhStore {
     relational::Table* rts = nullptr;
     relational::Table* irts = nullptr;
     relational::Table* mg = nullptr;
+    SeriesDirectory rts_dir;
+    SeriesDirectory irts_dir;
     ContainerStats rts_stats;
     ContainerStats irts_stats;
     ContainerStats mg_stats;
@@ -562,7 +590,7 @@ class OdhStore {
                                               Timestamp lo, Timestamp hi,
                                               SegmentScanStats* stats);
 
-  /// Creates a segment's three tables (+ pk indexes) and manifest.
+  /// Creates a segment's three tables (+ the MG pk index) and manifest.
   Result<Segment> CreateSegment(int schema_type, int64_t key,
                                 int generation);
 

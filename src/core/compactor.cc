@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -104,14 +103,24 @@ Result<bool> SegmentCompactor::CompactSegment(int schema_type, int64_t key,
   report->blobs_before +=
       static_cast<int64_t>(snap.rts.size() + snap.irts.size());
 
-  // Decodes blobs [i, j) of `src` into one concatenated batch.
+  // Decodes blobs [i, j) of `src` into one concatenated batch. The run
+  // batch and the piece batch keep their capacity from run to run; the
+  // run's columns are sized once from the listed point counts.
+  SeriesBatch piece;
   auto merge = [&](const std::vector<BlobRecord>& src, size_t i, size_t j,
                    bool irts, SeriesBatch* batch) -> Status {
+    size_t points = 0;
+    for (size_t k = i; k < j; ++k) points += static_cast<size_t>(src[k].n);
     batch->id = src[i].id;
     batch->timestamps.clear();
-    batch->columns.assign(static_cast<size_t>(num_tags), {});
+    batch->timestamps.reserve(points);
+    batch->columns.resize(static_cast<size_t>(num_tags));
+    for (std::vector<double>& col : batch->columns) {
+      col.clear();
+      col.reserve(points);
+    }
     for (size_t k = i; k < j; ++k) {
-      SeriesBatch piece;
+      // Every tag is requested, so every piece column is full length.
       if (irts) {
         ODH_RETURN_IF_ERROR(decoder.DecodeIrts(Slice(src[k].blob), src[k].id,
                                                src[k].begin,
@@ -126,16 +135,10 @@ Result<bool> SegmentCompactor::CompactSegment(int schema_type, int64_t key,
       batch->timestamps.insert(batch->timestamps.end(),
                                piece.timestamps.begin(),
                                piece.timestamps.end());
-      for (int t = 0; t < num_tags; ++t) {
-        std::vector<double>& dst = batch->columns[static_cast<size_t>(t)];
-        if (t < static_cast<int>(piece.columns.size()) &&
-            !piece.columns[static_cast<size_t>(t)].empty()) {
-          dst.insert(dst.end(), piece.columns[static_cast<size_t>(t)].begin(),
-                     piece.columns[static_cast<size_t>(t)].end());
-        } else {
-          dst.insert(dst.end(), piece.timestamps.size(),
-                     std::numeric_limits<double>::quiet_NaN());
-        }
+      for (size_t t = 0; t < batch->columns.size(); ++t) {
+        batch->columns[t].insert(batch->columns[t].end(),
+                                 piece.columns[t].begin(),
+                                 piece.columns[t].end());
       }
     }
     return Status::OK();
@@ -168,6 +171,7 @@ Result<bool> SegmentCompactor::CompactSegment(int schema_type, int64_t key,
   // RTS: merge maximal runs that stay one regular series — same source,
   // same interval, each blob starting exactly one interval after the
   // previous ends — so the merged timestamps are still begin + i*interval.
+  SeriesBatch batch;
   std::vector<BlobRecord> new_rts;
   for (size_t i = 0; i < snap.rts.size();) {
     size_t j = i + 1;
@@ -181,7 +185,6 @@ Result<bool> SegmentCompactor::CompactSegment(int schema_type, int64_t key,
       points += snap.rts[j].n;
       ++j;
     }
-    SeriesBatch batch;
     ODH_RETURN_IF_ERROR(merge(snap.rts, i, j, /*irts=*/false, &batch));
     ODH_RETURN_IF_ERROR(
         emit(batch, snap.rts[i].interval, /*irts=*/false, &new_rts));
@@ -189,18 +192,30 @@ Result<bool> SegmentCompactor::CompactSegment(int schema_type, int64_t key,
   }
 
   // IRTS: merge runs whose time ranges do not overlap (timestamps must
-  // stay strictly ordered across the concatenation).
+  // stay strictly ordered across the concatenation) and whose gaps hold no
+  // blob of the source's RTS series: a regular source stores a one-point
+  // or jittered batch as IRTS, and a merged blob spanning its RTS points
+  // would put its points out of time order.
+  auto rts_in_gap = [&](const BlobRecord& prev, const BlobRecord& next) {
+    BlobRecord probe;
+    probe.id = prev.id;
+    probe.begin = prev.end + 1;
+    auto it = std::lower_bound(snap.rts.begin(), snap.rts.end(), probe,
+                               ByIdThenBegin);
+    return it != snap.rts.end() && it->id == prev.id &&
+           it->begin < next.begin;
+  };
   std::vector<BlobRecord> new_irts;
   for (size_t i = 0; i < snap.irts.size();) {
     size_t j = i + 1;
     int64_t points = snap.irts[i].n;
     while (j < snap.irts.size() && snap.irts[j].id == snap.irts[i].id &&
            snap.irts[j].begin > snap.irts[j - 1].end &&
+           !rts_in_gap(snap.irts[j - 1], snap.irts[j]) &&
            points + snap.irts[j].n <= cap) {
       points += snap.irts[j].n;
       ++j;
     }
-    SeriesBatch batch;
     ODH_RETURN_IF_ERROR(merge(snap.irts, i, j, /*irts=*/true, &batch));
     ODH_RETURN_IF_ERROR(emit(batch, 0, /*irts=*/true, &new_irts));
     i = j;

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <tuple>
 
 #include "core/blob_cache.h"
 
@@ -227,20 +228,29 @@ struct ScanPlan {
 
 namespace {
 
+/// Appends listed blobs of one structure to *out.
+void Queue(BlobKind kind, std::vector<BlobRecord>* recs,
+           std::vector<QueuedBlob>* out) {
+  for (BlobRecord& rec : *recs) out->push_back({kind, std::move(rec)});
+}
+
 /// Appends listed blobs as units split along segment boundaries, at most
-/// kUnitMaxBlobs each, in listing order.
-void AddListedUnits(BlobKind kind, std::vector<BlobRecord> recs,
-                    ScanPlan* plan) {
+/// kUnitMaxBlobs each, in the given order. Each (structure, segment) pair
+/// counts as one group.
+void AddListedUnits(std::vector<QueuedBlob> blobs, ScanPlan* plan) {
   size_t i = 0;
-  while (i < recs.size()) {
-    const int64_t seg = recs[i].seg;
+  while (i < blobs.size()) {
+    const int64_t seg = blobs[i].record.seg;
     size_t j = i;
-    while (j < recs.size() && recs[j].seg == seg) ++j;
-    ++plan->groups;
+    bool kinds[3] = {false, false, false};
+    for (; j < blobs.size() && blobs[j].record.seg == seg; ++j) {
+      kinds[static_cast<size_t>(blobs[j].kind)] = true;
+    }
+    plan->groups += static_cast<size_t>(kinds[0] + kinds[1] + kinds[2]);
     for (size_t k = i; k < j; k += kUnitMaxBlobs) {
       ScanUnit& unit = plan->units.emplace_back();
       for (size_t b = k; b < std::min(j, k + kUnitMaxBlobs); ++b) {
-        unit.blobs.push_back({kind, std::move(recs[b])});
+        unit.blobs.push_back(std::move(blobs[b]));
       }
     }
     i = j;
@@ -852,15 +862,32 @@ Status OdhReader::PlanScan(int schema_type, SourceId id,
     ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
                          ListConsistent(schema_type, id, route, lo, hi,
                                         seg_stats, &plan->dirty));
-    AddListedUnits(BlobKind::kRts, std::move(listing.rts), plan);
-    AddListedUnits(BlobKind::kIrts, std::move(listing.irts), plan);
-    AddListedUnits(BlobKind::kMg, std::move(listing.mg), plan);
+    // A regular source stores a one-point or jittered batch as IRTS, so
+    // its RTS and IRTS blobs interleave in time: queue them in begin order
+    // (RTS first on a tie), and the scan returns the source's points in
+    // time order. Segments are routed by begin, so this is segment order
+    // too.
+    std::vector<QueuedBlob> series;
+    series.reserve(listing.rts.size() + listing.irts.size());
+    Queue(BlobKind::kRts, &listing.rts, &series);
+    Queue(BlobKind::kIrts, &listing.irts, &series);
+    std::stable_sort(series.begin(), series.end(),
+                     [](const QueuedBlob& a, const QueuedBlob& b) {
+                       return std::tie(a.record.seg, a.record.begin) <
+                              std::tie(b.record.seg, b.record.begin);
+                     });
+    AddListedUnits(std::move(series), plan);
+    std::vector<QueuedBlob> mg;
+    Queue(BlobKind::kMg, &listing.mg, &mg);
+    AddListedUnits(std::move(mg), plan);
     return Status::OK();
   }
   if (route.scan_mg) {
-    ODH_ASSIGN_OR_RETURN(auto mg,
+    ODH_ASSIGN_OR_RETURN(auto listed,
                          store_->GetMg(schema_type, -1, lo, hi, seg_stats));
-    AddListedUnits(BlobKind::kMg, std::move(mg), plan);
+    std::vector<QueuedBlob> mg;
+    Queue(BlobKind::kMg, &listed, &mg);
+    AddListedUnits(std::move(mg), plan);
   }
   for (bool irts : {false, true}) {
     if (irts ? !route.scan_irts : !route.scan_rts) continue;

@@ -6,6 +6,7 @@
 #include <tuple>
 
 #include "common/key_codec.h"
+#include "core/series_record.h"
 #include "storage/spill_file.h"
 
 namespace odh::core {
@@ -16,15 +17,6 @@ using relational::Schema;
 using storage::SegmentKeyFor;
 using storage::SegmentTier;
 
-// Column positions in the RTS/IRTS tables.
-constexpr int kSeriesId = 0;
-constexpr int kSeriesBegin = 1;
-constexpr int kSeriesEnd = 2;
-constexpr int kSeriesInterval = 3;
-constexpr int kSeriesCount = 4;
-constexpr int kSeriesBlob = 5;
-constexpr int kSeriesZone = 6;
-
 // Column positions in the MG table.
 constexpr int kMgBegin = 0;
 constexpr int kMgGroup = 1;
@@ -32,16 +24,6 @@ constexpr int kMgEnd = 2;
 constexpr int kMgCount = 3;
 constexpr int kMgBlob = 4;
 constexpr int kMgZone = 5;
-
-Schema SeriesSchema() {
-  return Schema({{"id", DataType::kInt64},
-                 {"begin_ts", DataType::kTimestamp},
-                 {"end_ts", DataType::kTimestamp},
-                 {"interval", DataType::kInt64},
-                 {"n", DataType::kInt64},
-                 {"blob", DataType::kString},
-                 {"zonemap", DataType::kString}});
-}
 
 Schema MgSchema() {
   return Schema({{"begin_ts", DataType::kTimestamp},
@@ -55,6 +37,51 @@ Schema MgSchema() {
 bool IsDataRecord(WalRecord::Kind kind) {
   return kind == WalRecord::Kind::kRts || kind == WalRecord::Kind::kIrts ||
          kind == WalRecord::Kind::kMg || kind == WalRecord::Kind::kMgDelete;
+}
+
+/// Stores one series record in `table` (an RTS or IRTS table, which have
+/// no heap-level indexes), encoded straight from its fields.
+Result<relational::Rid> InsertSeries(relational::Table* table,
+                                     const SeriesRecord& rec,
+                                     std::string* scratch) {
+  scratch->clear();
+  EncodeSeriesRecord(rec, table->codec().header_bytes(), scratch);
+  return table->InsertEncoded(Slice(*scratch));
+}
+
+/// Parses a series record of `table` in place.
+Status ParseSeries(const relational::Table* table, Slice record,
+                   SeriesRecord* rec) {
+  return ParseSeriesRecord(record, table->codec().header_bytes(), rec);
+}
+
+/// Copies a parsed series record into a BlobRecord: the one copy of its
+/// blob on the read path.
+void ToBlobRecord(const SeriesRecord& rec, const relational::Rid& rid,
+                  int64_t seg, int64_t generation, BlobRecord* out) {
+  out->id = rec.id;
+  out->begin = rec.begin;
+  out->end = rec.end;
+  out->interval = rec.interval;
+  out->n = rec.n;
+  out->blob.assign(rec.blob.data(), rec.blob.size());
+  out->zone_map.assign(rec.zone_map.data(), rec.zone_map.size());
+  out->rid = rid;
+  out->seg = seg;
+  out->generation = generation;
+}
+
+/// Decodes an MG-container row (MG rows keep the Row path: their table
+/// has an on-disk index keyed by Row).
+void RowToBlobRecord(const Row& row, const relational::Rid& rid,
+                     BlobRecord* rec) {
+  rec->begin = row[kMgBegin].timestamp_value();
+  rec->group = row[kMgGroup].int64_value();
+  rec->end = row[kMgEnd].timestamp_value();
+  rec->n = row[kMgCount].int64_value();
+  rec->blob = row[kMgBlob].string_value();
+  rec->zone_map = row[kMgZone].string_value();
+  rec->rid = rid;
 }
 
 }  // namespace
@@ -269,11 +296,10 @@ Status OdhStore::PutRts(int schema_type, SourceId id, Timestamp begin,
   ODH_ASSIGN_OR_RETURN(Segment * seg,
                        GetSegmentForWrite(schema_type, container, begin));
   if (seg->series_lsn == kNoLsn) seg->series_lsn = lsn;
-  Row row = {Datum::Int64(id),       Datum::Time(begin),
-             Datum::Time(end),       Datum::Int64(interval),
-             Datum::Int64(n),        Datum::String(blob),
-             Datum::String(zone_map)};
-  ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->rts->Insert(row));
+  ODH_ASSIGN_OR_RETURN(
+      relational::Rid rid,
+      InsertSeries(seg->rts, {id, begin, end, interval, n, blob, zone_map},
+                   &record_scratch_));
   seg->rts_dir.Add(id, begin, rid);
   UpdateStats(&seg->rts_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
@@ -293,10 +319,11 @@ Status OdhStore::PutIrts(int schema_type, SourceId id, Timestamp begin,
   ODH_ASSIGN_OR_RETURN(Segment * seg,
                        GetSegmentForWrite(schema_type, container, begin));
   if (seg->series_lsn == kNoLsn) seg->series_lsn = lsn;
-  Row row = {Datum::Int64(id), Datum::Time(begin), Datum::Time(end),
-             Datum::Int64(0),  Datum::Int64(n),    Datum::String(blob),
-             Datum::String(zone_map)};
-  ODH_ASSIGN_OR_RETURN(relational::Rid rid, seg->irts->Insert(row));
+  ODH_ASSIGN_OR_RETURN(relational::Rid rid,
+                       InsertSeries(seg->irts,
+                                    {id, begin, end, /*interval=*/0, n, blob,
+                                     zone_map},
+                                    &record_scratch_));
   seg->irts_dir.Add(id, begin, rid);
   UpdateStats(&seg->irts_stats, begin, end, n, blob.size());
   ++seg->manifest.version;
@@ -360,22 +387,14 @@ Status ScanSeries(relational::Table* table, const SeriesDirectory& dir,
       [](const SeriesDirectory::Entry& e, Timestamp t) {
         return e.begin < t;
       });
+  relational::HeapFile::RecordBuffer buf;
+  SeriesRecord rec;
   for (; it != list.end() && it->begin <= hi; ++it) {
-    ODH_ASSIGN_OR_RETURN(Row row, table->Get(it->rid));
-    BlobRecord rec;
-    rec.id = row[0].int64_value();
-    rec.begin = row[1].timestamp_value();
-    rec.end = row[2].timestamp_value();
-    rec.interval = row[3].int64_value();
-    rec.n = row[4].int64_value();
-    rec.blob = row[5].string_value();
-    rec.zone_map = row[6].string_value();
-    rec.rid = it->rid;
-    rec.seg = seg_key;
-    rec.generation = generation;
+    ODH_ASSIGN_OR_RETURN(Slice record, table->GetRecord(it->rid, &buf));
+    ODH_RETURN_IF_ERROR(ParseSeries(table, record, &rec));
     examined->fetch_add(1, std::memory_order_relaxed);
     if (rec.end >= lo) {
-      out->push_back(std::move(rec));
+      ToBlobRecord(rec, it->rid, seg_key, generation, &out->emplace_back());
     } else {
       discarded->fetch_add(1, std::memory_order_relaxed);
     }
@@ -443,13 +462,7 @@ Result<std::vector<BlobRecord>> OdhStore::GetMgLocked(int schema_type,
     while (it.Valid()) {
       ODH_ASSIGN_OR_RETURN(Row row, seg.mg->Get(it.rid()));
       BlobRecord rec;
-      rec.begin = row[0].timestamp_value();
-      rec.group = row[1].int64_value();
-      rec.end = row[2].timestamp_value();
-      rec.n = row[3].int64_value();
-      rec.blob = row[4].string_value();
-      rec.zone_map = row[5].string_value();
-      rec.rid = it.rid();
+      RowToBlobRecord(row, it.rid(), &rec);
       rec.seg = key;
       rec.generation = seg.mg_epoch;
       blobs_examined_.fetch_add(1, std::memory_order_relaxed);
@@ -509,6 +522,7 @@ Result<bool> OdhStore::CatchUpHistorical(int schema_type, SourceId id,
   auto first = put_log_.end();
   while (first != put_log_.begin() && std::prev(first)->seq > after) --first;
   HistoricalListing delta;
+  relational::HeapFile::RecordBuffer buf;
   for (auto e_it = first; e_it != put_log_.end(); ++e_it) {
     const PutLogEntry& e = *e_it;
     if (e.seq > through) break;
@@ -525,22 +539,31 @@ Result<bool> OdhStore::CatchUpHistorical(int schema_type, SourceId id,
     if (e.generation != (is_mg ? seg.mg_epoch : seg.manifest.generation)) {
       return false;
     }
-    relational::Table* table =
-        is_mg ? seg.mg
-              : (e.kind == WalRecord::Kind::kRts ? seg.rts : seg.irts);
-    auto row = table->Get(e.rid);
-    if (!row.ok()) return false;  // Deleted (MG reorganized) since.
-    BlobRecord rec;
-    ODH_RETURN_IF_ERROR(RowToBlobRecord(*row, e.rid, is_mg, &rec));
-    if (rec.begin != e.begin || (is_mg ? rec.group : rec.id) != e.id_or_group) {
-      return false;  // The slot was reused after a delete.
+    if (is_mg) {
+      auto row = seg.mg->Get(e.rid);
+      if (!row.ok()) return false;  // Deleted (MG reorganized) since.
+      BlobRecord rec;
+      RowToBlobRecord(*row, e.rid, &rec);
+      if (rec.begin != e.begin || rec.group != e.id_or_group) {
+        return false;  // The slot was reused after a delete.
+      }
+      if (rec.end < lo || rec.begin > hi) continue;
+      rec.seg = e.seg;
+      rec.generation = e.generation;
+      delta.mg.push_back(std::move(rec));
+      continue;
     }
-    if (rec.end < lo || rec.begin > hi) continue;
-    rec.seg = e.seg;
-    rec.generation = e.generation;
-    (is_mg ? delta.mg
-           : e.kind == WalRecord::Kind::kRts ? delta.rts : delta.irts)
-        .push_back(std::move(rec));
+    relational::Table* table =
+        e.kind == WalRecord::Kind::kRts ? seg.rts : seg.irts;
+    Result<Slice> record = table->GetRecord(e.rid, &buf);
+    if (!record.ok()) return false;
+    SeriesRecord series;
+    ODH_RETURN_IF_ERROR(ParseSeries(table, *record, &series));
+    if (series.begin != e.begin || series.id != e.id_or_group) return false;
+    if (series.end < lo || series.begin > hi) continue;
+    ToBlobRecord(series, e.rid, e.seg, e.generation,
+                 &(e.kind == WalRecord::Kind::kRts ? delta.rts : delta.irts)
+                      .emplace_back());
   }
   auto append = [](std::vector<BlobRecord>* from, std::vector<BlobRecord>* to) {
     for (BlobRecord& rec : *from) to->push_back(std::move(rec));
@@ -687,18 +710,18 @@ Status OdhStore::NextSliceChunk(int schema_type, bool irts, Timestamp lo,
   int consumed = 0;
   bool more = false;
   relational::Rid last{};
+  SeriesRecord rec;
   while (rows.Valid()) {
-    ODH_ASSIGN_OR_RETURN(Row row, rows.row());
-    BlobRecord rec;
-    ODH_RETURN_IF_ERROR(
-        RowToBlobRecord(row, rows.rid(), /*is_mg=*/false, &rec));
-    rec.seg = key;
-    rec.generation = seg.manifest.generation;
+    ODH_RETURN_IF_ERROR(ParseSeries(table, rows.record(), &rec));
     last = rows.rid();
     ++consumed;
-    // Same overlap filter the streaming path applied; deliberately not
-    // counted in blobs_examined/discarded (slice scans never were).
-    if (rec.end >= lo && rec.begin <= hi) out->push_back(std::move(rec));
+    // Same overlap filter the streaming path applied, checked before the
+    // blob is copied; deliberately not counted in blobs_examined/discarded
+    // (slice scans never were).
+    if (rec.end >= lo && rec.begin <= hi) {
+      ToBlobRecord(rec, last, key, seg.manifest.generation,
+                   &out->emplace_back());
+    }
     ODH_RETURN_IF_ERROR(rows.Next());
     if (consumed >= kSliceChunkRows && rows.Valid()) {
       more = true;
@@ -942,14 +965,11 @@ Result<SegmentSnapshot> OdhStore::SnapshotSegment(int schema_type,
     std::vector<BlobRecord>* out = irts ? &snap.irts : &snap.rts;
     auto rows = table->NewIterator();
     ODH_RETURN_IF_ERROR(rows.SeekToFirst());
+    SeriesRecord rec;
     while (rows.Valid()) {
-      ODH_ASSIGN_OR_RETURN(Row row, rows.row());
-      BlobRecord rec;
-      ODH_RETURN_IF_ERROR(
-          RowToBlobRecord(row, rows.rid(), /*is_mg=*/false, &rec));
-      rec.seg = key;
-      rec.generation = seg.manifest.generation;
-      out->push_back(std::move(rec));
+      ODH_RETURN_IF_ERROR(ParseSeries(table, rows.record(), &rec));
+      ToBlobRecord(rec, rows.rid(), key, seg.manifest.generation,
+                   &out->emplace_back());
       ODH_RETURN_IF_ERROR(rows.Next());
     }
   }
@@ -1011,20 +1031,22 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
   ContainerStats rts_stats, irts_stats;
   SeriesDirectory rts_dir, irts_dir;
   for (const BlobRecord& rec : rts) {
-    Row row = {Datum::Int64(rec.id),       Datum::Time(rec.begin),
-               Datum::Time(rec.end),       Datum::Int64(rec.interval),
-               Datum::Int64(rec.n),        Datum::String(rec.blob),
-               Datum::String(rec.zone_map)};
-    ODH_ASSIGN_OR_RETURN(relational::Rid rid, new_rts->Insert(row));
+    ODH_ASSIGN_OR_RETURN(relational::Rid rid,
+                         InsertSeries(new_rts,
+                                      {rec.id, rec.begin, rec.end,
+                                       rec.interval, rec.n, rec.blob,
+                                       rec.zone_map},
+                                      &record_scratch_));
     rts_dir.Add(rec.id, rec.begin, rid);
     UpdateStats(&rts_stats, rec.begin, rec.end, rec.n, rec.blob.size());
   }
   for (const BlobRecord& rec : irts) {
-    Row row = {Datum::Int64(rec.id), Datum::Time(rec.begin),
-               Datum::Time(rec.end), Datum::Int64(0),
-               Datum::Int64(rec.n),  Datum::String(rec.blob),
-               Datum::String(rec.zone_map)};
-    ODH_ASSIGN_OR_RETURN(relational::Rid rid, new_irts->Insert(row));
+    ODH_ASSIGN_OR_RETURN(relational::Rid rid,
+                         InsertSeries(new_irts,
+                                      {rec.id, rec.begin, rec.end,
+                                       /*interval=*/0, rec.n, rec.blob,
+                                       rec.zone_map},
+                                      &record_scratch_));
     irts_dir.Add(rec.id, rec.begin, rid);
     UpdateStats(&irts_stats, rec.begin, rec.end, rec.n, rec.blob.size());
   }
@@ -1046,28 +1068,6 @@ Status OdhStore::SwapCompactedSegment(int schema_type, int64_t key,
   seg.series_lsn = begin_lsn;
   segments_compacted_.fetch_add(1, std::memory_order_relaxed);
   return ReleaseWalLocked();
-}
-
-Status OdhStore::RowToBlobRecord(const Row& row, const relational::Rid& rid,
-                                 bool is_mg, BlobRecord* rec) {
-  if (is_mg) {
-    rec->begin = row[kMgBegin].timestamp_value();
-    rec->group = row[kMgGroup].int64_value();
-    rec->end = row[kMgEnd].timestamp_value();
-    rec->n = row[kMgCount].int64_value();
-    rec->blob = row[kMgBlob].string_value();
-    rec->zone_map = row[kMgZone].string_value();
-  } else {
-    rec->id = row[kSeriesId].int64_value();
-    rec->begin = row[kSeriesBegin].timestamp_value();
-    rec->end = row[kSeriesEnd].timestamp_value();
-    rec->interval = row[kSeriesInterval].int64_value();
-    rec->n = row[kSeriesCount].int64_value();
-    rec->blob = row[kSeriesBlob].string_value();
-    rec->zone_map = row[kSeriesZone].string_value();
-  }
-  rec->rid = rid;
-  return Status::OK();
 }
 
 Status OdhStore::Sync(int schema_type) {
@@ -1106,18 +1106,14 @@ Result<OdhStore::ReplicationSnapshot> OdhStore::SnapshotForReplication(
         relational::Table* table = irts ? seg.irts : seg.rts;
         auto rows = table->NewIterator();
         ODH_RETURN_IF_ERROR(rows.SeekToFirst());
+        SeriesRecord rec;
         while (rows.Valid()) {
-          ODH_ASSIGN_OR_RETURN(Row row, rows.row());
+          ODH_RETURN_IF_ERROR(ParseSeries(table, rows.record(), &rec));
           std::string payload;
           EncodeWalPayload(
               irts ? WalRecord::Kind::kIrts : WalRecord::Kind::kRts,
-              schema_type, row[kSeriesId].int64_value(),
-              row[kSeriesBegin].timestamp_value(),
-              row[kSeriesEnd].timestamp_value(),
-              row[kSeriesInterval].int64_value(),
-              row[kSeriesCount].int64_value(),
-              Slice(row[kSeriesBlob].string_value()),
-              Slice(row[kSeriesZone].string_value()), &payload);
+              schema_type, rec.id, rec.begin, rec.end, rec.interval, rec.n,
+              rec.blob, rec.zone_map, &payload);
           snap.records.push_back(std::move(payload));
           ODH_RETURN_IF_ERROR(rows.Next());
         }

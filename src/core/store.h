@@ -167,7 +167,10 @@ struct SeriesDirectory {
 /// indexed on the first two fields of each structure (the paper's Figure 1
 /// layout, now per segment): MG by an on-disk B-tree, RTS and IRTS by an
 /// in-memory series directory per segment (DESIGN.md § B+tree reads in
-/// place), rebuilt from the WAL on recovery. A per-segment manifest keeps
+/// place), rebuilt from the WAL on recovery. RTS/IRTS rows are encoded and
+/// parsed as bytes in RowCodec's layout (core/series_record.h), never
+/// built as Rows: a read copies each kept blob once, from the page into
+/// its BlobRecord. A per-segment manifest keeps
 /// the time bounds, tier, generation and per-structure stats; every scan
 /// consults the manifests first, so a recent-window query skips cold
 /// history with O(segments) metadata checks and zero page reads
@@ -531,10 +534,6 @@ class OdhStore {
   /// live RTS/IRTS blob.
   int64_t series_directory_entries() const;
 
-  /// Decodes a series-container row fetched by a streaming scan.
-  static Status RowToBlobRecord(const Row& row, const relational::Rid& rid,
-                                bool is_mg, BlobRecord* rec);
-
  private:
   static constexpr uint64_t kNoLsn = UINT64_MAX;
   /// (group, begin, end, n): how WAL records identify an MG blob.
@@ -636,6 +635,8 @@ class OdhStore {
   Status ReleaseWalLocked();
 
   int mg_version_ = 0;  // Suffix for rebuilt MG container tables.
+  /// Encoding buffer of series puts (EncodeSeriesRecord); guarded by mu_.
+  std::string record_scratch_;
   uint64_t puts_ = 0;    // Put sequence; guarded by mu_.
 
   /// Where put number `seq` landed (CatchUpHistorical's log).

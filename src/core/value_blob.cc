@@ -50,9 +50,11 @@ Status ValueBlobCodec::DecodeColumns(
       return Status::Corruption("tag section size");
     }
   }
-  columns->assign(num_tags, {});
-  // Only requested tags are decoded; others stay empty (the caller treats
-  // empty columns as all-missing). Empty wanted list = decode everything.
+  // Only requested tags are decoded; others stay empty, which every reader
+  // of a decoded batch takes as all-missing. Empty wanted list = decode
+  // everything. A reused batch keeps its columns' capacity.
+  columns->resize(static_cast<size_t>(num_tags));
+  for (std::vector<double>& col : *columns) col.clear();
   std::vector<bool> want(num_tags, wanted_tags.empty());
   for (int t : wanted_tags) {
     if (t < 0 || t >= num_tags) return Status::InvalidArgument("bad tag");
@@ -113,13 +115,7 @@ Status ValueBlobCodec::DecodeRts(Slice blob, SourceId id, Timestamp begin,
     batch->timestamps[i] = static_cast<Timestamp>(
         static_cast<uint64_t>(begin) + uint64_t{i} * stored_interval);
   }
-  ODH_RETURN_IF_ERROR(
-      DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns));
-  // Materialize undecoded columns as all-missing for positional stability.
-  for (auto& col : batch->columns) {
-    if (col.empty()) col.assign(n, kNaN);
-  }
-  return Status::OK();
+  return DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns);
 }
 
 Status ValueBlobCodec::EncodeIrts(const SeriesBatch& batch,
@@ -145,12 +141,7 @@ Status ValueBlobCodec::DecodeIrts(Slice blob, SourceId id, Timestamp begin,
   if (n > blob.size()) return Status::Corruption("irts point count");
   batch->id = id;
   ODH_RETURN_IF_ERROR(DecodeTimestamps(&blob, n, begin, &batch->timestamps));
-  ODH_RETURN_IF_ERROR(
-      DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns));
-  for (auto& col : batch->columns) {
-    if (col.empty()) col.assign(n, kNaN);
-  }
-  return Status::OK();
+  return DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns);
 }
 
 Status ValueBlobCodec::EncodeMg(const std::vector<OperationalRecord>& records,

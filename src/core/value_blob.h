@@ -23,7 +23,9 @@ struct OperationalRecord {
 struct SeriesBatch {
   SourceId id = 0;
   std::vector<Timestamp> timestamps;
-  /// tag-major: columns[t][i] is tag t of point i (NaN = missing).
+  /// tag-major: columns[t][i] is tag t of point i (NaN = missing). A
+  /// decode fills the requested tags to full length and leaves every other
+  /// column empty, which reads as all-missing.
   std::vector<std::vector<double>> columns;
 
   size_t num_points() const { return timestamps.size(); }

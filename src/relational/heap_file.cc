@@ -136,42 +136,71 @@ Result<Rid> HeapFile::InsertOverflow(const Slice& record) {
   return Rid{first_page, kOverflowSlot};
 }
 
-Result<std::string> HeapFile::Get(const Rid& rid) {
+Status HeapFile::PinPage(storage::PageNo no, RecordBuffer* buf) {
+  if (buf->page_.valid() && buf->page_.file() == file_ &&
+      buf->page_.page_no() == no) {
+    return Status::OK();
+  }
+  // Unpin first: the page read next must not find the previous one pinned
+  // (it would then land behind it in the LRU order).
+  buf->Release();
+  ODH_ASSIGN_OR_RETURN(buf->page_, pool_->FetchPage(file_, no));
+  return Status::OK();
+}
+
+Status HeapFile::AssembleOverflow(storage::PageNo no, RecordBuffer* buf) {
   const size_t page_size = pool_->usable_page_size();
-  ODH_ASSIGN_OR_RETURN(storage::PageRef page,
-                       pool_->FetchPage(file_, rid.page));
-  const char* p = page.data();
+  const char* p = buf->page_.data();
+  const uint32_t total = DecodeFixed32(p + 4);
+  if (total == 0) return Status::NotFound("deleted overflow record");
+  std::string& out = buf->assembled_;
+  out.clear();
+  out.reserve(total);
+  out.append(p + kOverflowFirstHeader,
+             std::min<size_t>(total, page_size - kOverflowFirstHeader));
+  storage::PageNo next = no + 1;
+  while (out.size() < total) {
+    ODH_ASSIGN_OR_RETURN(storage::PageRef cont,
+                         pool_->FetchPage(file_, next));
+    const char* cp = cont.data();
+    if (cp[0] != kOverflowCont) {
+      return Status::Corruption("broken overflow chain");
+    }
+    out.append(cp + kOverflowContHeader,
+               std::min<size_t>(total - out.size(),
+                                page_size - kOverflowContHeader));
+    ++next;
+  }
+  buf->assembled_view_ = true;
+  return Status::OK();
+}
+
+Status HeapFile::Read(const Rid& rid, RecordBuffer* out) {
+  out->view_ = Slice();
+  out->assembled_view_ = false;
+  ODH_RETURN_IF_ERROR(PinPage(rid.page, out));
+  const char* p = out->page_.data();
   if (rid.slot == kOverflowSlot) {
     if (p[0] != kOverflowFirst) return Status::NotFound("not overflow head");
-    uint32_t total = DecodeFixed32(p + 4);
-    if (total == 0) return Status::NotFound("deleted overflow record");
-    std::string out;
-    out.reserve(total);
-    size_t chunk = std::min<size_t>(total, page_size - kOverflowFirstHeader);
-    out.append(p + kOverflowFirstHeader, chunk);
-    storage::PageNo next = rid.page + 1;
-    while (out.size() < total) {
-      ODH_ASSIGN_OR_RETURN(storage::PageRef cont,
-                           pool_->FetchPage(file_, next));
-      const char* cp = cont.data();
-      if (cp[0] != kOverflowCont) {
-        return Status::Corruption("broken overflow chain");
-      }
-      size_t n = std::min<size_t>(total - out.size(),
-                                  page_size - kOverflowContHeader);
-      out.append(cp + kOverflowContHeader, n);
-      ++next;
-    }
-    return out;
+    return AssembleOverflow(rid.page, out);
   }
   if (p[0] != kSlottedPage) return Status::NotFound("not a slotted page");
   uint16_t slot_count = ReadU16(p + 2);
   if (rid.slot >= slot_count) return Status::NotFound("bad slot");
-  const char* slot = p + page_size - kSlotBytes * (rid.slot + 1);
+  const char* slot =
+      p + pool_->usable_page_size() - kSlotBytes * (rid.slot + 1);
   uint16_t offset = ReadU16(slot);
   uint16_t len = ReadU16(slot + 2);
   if (offset == kDeletedOffset) return Status::NotFound("deleted record");
-  return std::string(p + offset, len);
+  out->view_ = Slice(p + offset, len);
+  return Status::OK();
+}
+
+Result<std::string> HeapFile::Get(const Rid& rid) {
+  RecordBuffer buf;
+  ODH_RETURN_IF_ERROR(Read(rid, &buf));
+  if (rid.slot == kOverflowSlot) return std::move(buf.assembled_);
+  return buf.data().ToString();
 }
 
 Status HeapFile::Delete(const Rid& rid) {
@@ -225,13 +254,17 @@ Status HeapFile::Iterator::Next() {
 }
 
 Status HeapFile::Iterator::FindNext() {
-  storage::SimDisk* disk = file_->pool_->disk();
   const size_t page_size = file_->pool_->usable_page_size();
-  ODH_ASSIGN_OR_RETURN(uint32_t total_pages, disk->PageCount(file_->file_));
-  while (page_ < total_pages) {
-    ODH_ASSIGN_OR_RETURN(storage::PageRef page,
-                         file_->pool_->FetchPage(file_->file_, page_));
-    const char* p = page.data();
+  record_.view_ = Slice();
+  record_.assembled_view_ = false;
+  while (true) {
+    if (page_ >= known_pages_) {
+      ODH_ASSIGN_OR_RETURN(known_pages_,
+                           file_->pool_->disk()->PageCount(file_->file_));
+      if (page_ >= known_pages_) break;
+    }
+    ODH_RETURN_IF_ERROR(file_->PinPage(page_, &record_));
+    const char* p = record_.page_.data();
     if (p[0] == kSlottedPage) {
       uint16_t slot_count = ReadU16(p + 2);
       while (slot_ < slot_count) {
@@ -239,31 +272,29 @@ Status HeapFile::Iterator::FindNext() {
         uint16_t offset = ReadU16(slot);
         uint16_t len = ReadU16(slot + 2);
         if (offset != kDeletedOffset) {
-          record_.assign(p + offset, len);
+          record_.view_ = Slice(p + offset, len);
           rid_ = Rid{page_, slot_};
           valid_ = true;
           return Status::OK();
         }
         ++slot_;
       }
-    } else if (p[0] == kOverflowFirst && slot_ == 0) {
-      uint32_t total = DecodeFixed32(p + 4);
-      if (total != 0) {
-        Rid rid{page_, kOverflowSlot};
-        page.Release();
-        ODH_ASSIGN_OR_RETURN(record_, file_->Get(rid));
-        rid_ = rid;
-        valid_ = true;
-        // Arrange to resume after this overflow chain.
-        slot_ = 1;
-        return Status::OK();
-      }
+    } else if (p[0] == kOverflowFirst && slot_ == 0 &&
+               DecodeFixed32(p + 4) != 0) {
+      ODH_RETURN_IF_ERROR(file_->AssembleOverflow(page_, &record_));
+      rid_ = Rid{page_, kOverflowSlot};
+      valid_ = true;
+      // Arrange to resume after this overflow chain.
+      slot_ = 1;
+      return Status::OK();
     }
     // Move to the next page (overflow continuation pages are skipped by
     // their type byte; an overflow head we already yielded resumes here).
     ++page_;
     slot_ = 0;
   }
+  // Exhausted: hold no pin.
+  record_.Release();
   return Status::OK();
 }
 

@@ -41,7 +41,7 @@ Status Table::AddIndex(const IndexDef& def) {
   ODH_RETURN_IF_ERROR(it.SeekToFirst());
   while (it.Valid()) {
     Row row;
-    ODH_RETURN_IF_ERROR(codec_.Decode(Slice(it.record()), &row));
+    ODH_RETURN_IF_ERROR(codec_.Decode(it.record(), &row));
     std::string key;
     KeyEncoder enc(&key);
     for (int col : def.columns) enc.AddDatum(row[col]);
@@ -81,6 +81,15 @@ Result<Rid> Table::Insert(const Row& row) {
     ODH_RETURN_IF_ERROR(indexes_[i].tree->Insert(key, rid.Encode()));
   }
   if (options_.enable_wal) wal_buffer_ += encoded;
+  return rid;
+}
+
+Result<Rid> Table::InsertEncoded(const Slice& encoded) {
+  if (!indexes_.empty()) {
+    return Status::FailedPrecondition("encoded insert into an indexed table");
+  }
+  ODH_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(encoded));
+  if (options_.enable_wal) wal_buffer_.append(encoded.data(), encoded.size());
   return rid;
 }
 
@@ -126,17 +135,24 @@ uint64_t Table::ApproxHeapBytes() const {
 }
 
 Result<Row> Table::Get(const Rid& rid) {
-  ODH_ASSIGN_OR_RETURN(std::string record, heap_->Get(rid));
+  HeapFile::RecordBuffer buf;
+  ODH_RETURN_IF_ERROR(heap_->Read(rid, &buf));
   Row row;
-  ODH_RETURN_IF_ERROR(codec_.Decode(Slice(record), &row));
+  ODH_RETURN_IF_ERROR(codec_.Decode(buf.data(), &row));
   return row;
+}
+
+Result<Slice> Table::GetRecord(const Rid& rid, HeapFile::RecordBuffer* buf) {
+  ODH_RETURN_IF_ERROR(heap_->Read(rid, buf));
+  return buf->data();
 }
 
 Result<Row> Table::GetColumns(const Rid& rid,
                               const std::vector<int>& columns) {
-  ODH_ASSIGN_OR_RETURN(std::string record, heap_->Get(rid));
+  HeapFile::RecordBuffer buf;
+  ODH_RETURN_IF_ERROR(heap_->Read(rid, &buf));
   Row row;
-  ODH_RETURN_IF_ERROR(codec_.DecodeColumns(Slice(record), columns, &row));
+  ODH_RETURN_IF_ERROR(codec_.DecodeColumns(buf.data(), columns, &row));
   return row;
 }
 
@@ -151,8 +167,7 @@ Status Table::Delete(const Rid& rid) {
 
 Result<Row> Table::Iterator::row() const {
   Row row;
-  ODH_RETURN_IF_ERROR(
-      table_->codec_.Decode(Slice(it_.record()), &row));
+  ODH_RETURN_IF_ERROR(table_->codec_.Decode(it_.record(), &row));
   return row;
 }
 

@@ -72,11 +72,21 @@ class Table {
   /// Inserts a row (buffered in the WAL until Commit).
   Result<Rid> Insert(const Row& row);
 
+  /// Inserts a row its caller already encoded in this table's RowCodec
+  /// layout; the bytes are stored as given. Only for tables without
+  /// indexes (there is no Row to key them by).
+  Result<Rid> InsertEncoded(const Slice& encoded);
+
   /// Flushes the WAL buffer (the per-transaction durability cost).
   Status Commit();
 
   /// Fetches the row stored at `rid`.
   Result<Row> Get(const Rid& rid);
+
+  /// The encoded bytes of the row at `rid`, viewed through *buf (see
+  /// HeapFile::RecordBuffer): no copy and no Row for a record that fits
+  /// on a page.
+  Result<Slice> GetRecord(const Rid& rid, HeapFile::RecordBuffer* buf);
 
   /// Fetches only `columns` (ascending positions) of the row at `rid`.
   Result<Row> GetColumns(const Rid& rid, const std::vector<int>& columns);
@@ -93,6 +103,8 @@ class Table {
     bool Valid() const { return it_.Valid(); }
     Status Next() { return it_.Next(); }
     Result<Row> row() const;
+    /// The current row's encoded bytes (valid until the next Seek*/Next).
+    Slice record() const { return it_.record(); }
     Rid rid() const { return it_.rid(); }
 
    private:

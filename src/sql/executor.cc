@@ -29,12 +29,11 @@ Status ScanNode::Open() {
 }
 
 Result<bool> ScanNode::Next(Row* row) {
-  Row narrow;
-  ODH_ASSIGN_OR_RETURN(bool more, cursor_->Next(&narrow));
+  ODH_ASSIGN_OR_RETURN(bool more, cursor_->Next(&narrow_));
   if (!more) return false;
   row->assign(total_slots_, Datum::Null());
-  for (size_t i = 0; i < narrow.size(); ++i) {
-    (*row)[slot_offset_ + i] = std::move(narrow[i]);
+  for (size_t i = 0; i < narrow_.size(); ++i) {
+    (*row)[slot_offset_ + i] = std::move(narrow_[i]);
   }
   return true;
 }

@@ -48,6 +48,7 @@ class ScanNode : public PlanNode {
   int slot_offset_;
   int total_slots_;
   std::unique_ptr<RowCursor> cursor_;
+  Row narrow_;  // The cursor's row, reused across Next calls.
 };
 
 /// Residual predicate filter.

@@ -485,13 +485,12 @@ Status QueryStream::RunBuffered() {
 Result<bool> QueryStream::NextStreaming(Row* row) {
   const BoundSelect& bound = *stmt_->bound_;
   if (bound.limit >= 0 && emitted_ >= bound.limit) return false;
-  Row combined;
-  ODH_ASSIGN_OR_RETURN(bool more, plan_.root->Next(&combined));
+  ODH_ASSIGN_OR_RETURN(bool more, plan_.root->Next(&scan_row_));
   if (!more) return false;
   row->clear();
   row->reserve(bound.output.size());
   for (const ExprPtr& e : bound.output) {
-    ODH_ASSIGN_OR_RETURN(Datum v, eval_.Eval(e.get(), combined));
+    ODH_ASSIGN_OR_RETURN(Datum v, eval_.Eval(e.get(), scan_row_));
     row->push_back(std::move(v));
   }
   return true;

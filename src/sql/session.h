@@ -124,6 +124,8 @@ class QueryStream : public RowCursor {
   common::ScanCounters counters_;
   Stopwatch timer_;
   PhysicalPlan plan_;
+  /// The plan's combined row, reused by every NextStreaming call.
+  Row scan_row_;
   QueryProfile profile_;
   std::vector<std::string> columns_;
   std::string explain_;

@@ -112,16 +112,33 @@ TEST(ValueBlobTest, TagOrientedPartialDecode) {
   SeriesBatch out;
   ASSERT_TRUE(codec.DecodeRts(Slice(blob), 1, 0, 1000, {2, 5}, 8, &out).ok());
   ASSERT_EQ(out.columns.size(), 8u);
-  // Requested tags decoded exactly.
+  // Requested tags decoded exactly, full length.
+  ASSERT_EQ(out.columns[2].size(), 50u);
+  ASSERT_EQ(out.columns[5].size(), 50u);
   for (size_t i = 0; i < 50; ++i) {
     EXPECT_EQ(out.columns[2][i], batch.columns[2][i]);
     EXPECT_EQ(out.columns[5][i], batch.columns[5][i]);
   }
-  // Unrequested tags are all-missing placeholders.
-  for (int t : {0, 1, 3, 4, 6, 7}) {
-    for (size_t i = 0; i < 50; ++i) {
-      EXPECT_TRUE(std::isnan(out.columns[t][i])) << t;
-    }
+  // Unrequested tags are left empty (read as all-missing), not filled.
+  for (int t : {0, 1, 3, 4, 6, 7}) EXPECT_TRUE(out.columns[t].empty()) << t;
+
+  // A reused batch: a second decode with another tag set empties the
+  // columns it no longer requests.
+  ASSERT_TRUE(codec.DecodeRts(Slice(blob), 1, 0, 1000, {7}, 8, &out).ok());
+  ASSERT_EQ(out.columns.size(), 8u);
+  for (int t = 0; t < 7; ++t) EXPECT_TRUE(out.columns[t].empty()) << t;
+  ASSERT_EQ(out.columns[7].size(), 50u);
+  for (size_t i = 0; i < 50; ++i) {
+    EXPECT_EQ(out.columns[7][i], batch.columns[7][i]);
+  }
+  // IRTS follows the same contract.
+  std::string irts;
+  ASSERT_TRUE(codec.EncodeIrts(batch, &irts).ok());
+  SeriesBatch irts_out;
+  ASSERT_TRUE(codec.DecodeIrts(Slice(irts), 1, 0, {3}, 8, &irts_out).ok());
+  ASSERT_EQ(irts_out.columns.size(), 8u);
+  for (int t = 0; t < 8; ++t) {
+    EXPECT_EQ(irts_out.columns[t].size(), t == 3 ? 50u : 0u) << t;
   }
 }
 

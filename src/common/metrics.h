@@ -94,6 +94,7 @@ struct ScanCounters {
   std::atomic<int64_t> blobs_pruned{0};
   std::atomic<int64_t> blobs_skipped_by_summary{0};
   std::atomic<int64_t> blob_bytes_read{0};
+  std::atomic<int64_t> blob_bytes_skipped{0};
   std::atomic<int64_t> segments_pruned{0};
   /// Distinct (structure, segment) scan units handed to pool workers by the
   /// segment-parallel driver; 0 when the units ran inline.

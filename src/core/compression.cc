@@ -175,20 +175,21 @@ void EncodeLinear(const double* v, size_t n, double max_error,
   }
 }
 
-/// Decodes `n` values; the stored count must equal it.
-Status DecodeLinear(Slice* input, size_t n, double* out) {
+/// Decodes the first `m` of `n` values; the stored count must equal `n`.
+/// Pivot indices ascend, so the pivots past the m-th value are not read.
+Status DecodeLinear(Slice* input, size_t n, size_t m, double* out) {
   uint32_t stored, num_pivots;
   if (!GetVarint32(input, &stored)) return Status::Corruption("linear n");
   if (stored != n) return Status::Corruption("linear count mismatch");
   if (n == 0) return Status::OK();
-  std::fill(out, out + n, 0.0);
+  std::fill(out, out + m, 0.0);
   if (!GetVarint32(input, &num_pivots) || num_pivots == 0) {
     return Status::Corruption("linear pivots");
   }
   uint32_t prev_idx = 0;
   double prev_val = 0;
   bool first = true;
-  for (uint32_t p = 0; p < num_pivots; ++p) {
+  for (uint32_t p = 0; p < num_pivots && (first || prev_idx + 1 < m); ++p) {
     uint32_t delta;
     double val;
     if (!GetVarint32(input, &delta) || !GetDouble(input, &val)) {
@@ -197,9 +198,10 @@ Status DecodeLinear(Slice* input, size_t n, double* out) {
     uint32_t idx = first ? delta : prev_idx + delta;
     if (idx >= n) return Status::Corruption("linear pivot index");
     if (first) {
-      out[idx] = val;
+      if (idx < m) out[idx] = val;
     } else {
-      for (uint32_t i = prev_idx + 1; i <= idx; ++i) {
+      const uint32_t last = std::min<uint32_t>(idx, static_cast<uint32_t>(m - 1));
+      for (uint32_t i = prev_idx + 1; i <= last; ++i) {
         double t = static_cast<double>(i - prev_idx) /
                    static_cast<double>(idx - prev_idx);
         out[i] = prev_val + t * (val - prev_val);
@@ -210,7 +212,7 @@ Status DecodeLinear(Slice* input, size_t n, double* out) {
     first = false;
   }
   // Trailing values past the last pivot hold the last value.
-  for (size_t i = prev_idx + 1; i < n; ++i) out[i] = prev_val;
+  for (size_t i = prev_idx + 1; i < m; ++i) out[i] = prev_val;
   return Status::OK();
 }
 
@@ -352,6 +354,12 @@ Status EncodeColumn(const double* values, size_t n,
 }
 
 Status DecodeColumn(Slice input, size_t n, std::vector<double>* values) {
+  return DecodeColumn(input, n, n, values);
+}
+
+Status DecodeColumn(Slice input, size_t n, size_t m,
+                    std::vector<double>* values) {
+  if (m > n) return Status::InvalidArgument("prefix longer than column");
   if (input.empty()) return Status::Corruption("empty column");
   ValueCodec codec = static_cast<ValueCodec>(input[0]);
   input.remove_prefix(1);
@@ -359,47 +367,56 @@ Status DecodeColumn(Slice input, size_t n, std::vector<double>* values) {
   if (input.size() < bitmap_bytes) return Status::Corruption("bitmap");
   const uint8_t* bitmap = reinterpret_cast<const uint8_t*>(input.data());
   input.remove_prefix(bitmap_bytes);
+  // Present values in the whole column (Linear checks its stored count
+  // against it) and among the first m points (the ones decoded).
   size_t present = 0;
+  size_t present_m = 0;
   for (size_t b = 0; b < bitmap_bytes; ++b) {
     unsigned byte = bitmap[b];
     if (b == n / 8) byte &= (1u << (n % 8)) - 1;  // Bits past n.
     present += static_cast<size_t>(__builtin_popcount(byte));
+    if (b < m / 8) {
+      present_m += static_cast<size_t>(__builtin_popcount(byte));
+    } else if (b == m / 8) {
+      present_m += static_cast<size_t>(
+          __builtin_popcount(byte & ((1u << (m % 8)) - 1)));
+    }
   }
   // A dense column decodes in place; a sparse one decodes its present
   // values and then scatters them around the NaN gaps.
   std::vector<double> sparse;
   double* decoded;
   if (present == n) {
-    values->resize(n);
+    values->resize(m);
     decoded = values->data();
   } else {
-    sparse.resize(present);
+    sparse.resize(present_m);
     decoded = sparse.data();
   }
   switch (codec) {
     case ValueCodec::kRaw: {
       Slice in = input;
-      ODH_RETURN_IF_ERROR(DecodeRaw(&in, present, decoded));
+      ODH_RETURN_IF_ERROR(DecodeRaw(&in, present_m, decoded));
       break;
     }
     case ValueCodec::kXor:
-      ODH_RETURN_IF_ERROR(DecodeXor(input, present, decoded));
+      ODH_RETURN_IF_ERROR(DecodeXor(input, present_m, decoded));
       break;
     case ValueCodec::kLinear: {
       Slice in = input;
-      ODH_RETURN_IF_ERROR(DecodeLinear(&in, present, decoded));
+      ODH_RETURN_IF_ERROR(DecodeLinear(&in, present, present_m, decoded));
       break;
     }
     case ValueCodec::kQuantized:
-      ODH_RETURN_IF_ERROR(DecodeQuantized(input, present, decoded));
+      ODH_RETURN_IF_ERROR(DecodeQuantized(input, present_m, decoded));
       break;
     default:
       return Status::Corruption("unknown codec");
   }
   if (present < n) {
-    values->assign(n, std::numeric_limits<double>::quiet_NaN());
+    values->assign(m, std::numeric_limits<double>::quiet_NaN());
     size_t next = 0;
-    for (size_t i = 0; i < n; ++i) {
+    for (size_t i = 0; i < m; ++i) {
       if ((bitmap[i / 8] >> (i % 8)) & 1) (*values)[i] = sparse[next++];
     }
   }
@@ -420,6 +437,11 @@ void EncodeTimestamps(const Timestamp* ts, size_t n, Timestamp base,
 
 Status DecodeTimestamps(Slice* input, size_t n, Timestamp base,
                         std::vector<Timestamp>* ts) {
+  return DecodeTimestampsUpTo(input, n, base, kMaxTimestamp, ts);
+}
+
+Status DecodeTimestampsUpTo(Slice* input, size_t n, Timestamp base,
+                            Timestamp hi, std::vector<Timestamp>* ts) {
   // At least one varint byte per timestamp.
   if (n > input->size()) return Status::Corruption("timestamp count");
   ts->resize(n);
@@ -434,9 +456,38 @@ Status DecodeTimestamps(Slice* input, size_t n, Timestamp base,
     }
     prev_delta += static_cast<uint64_t>(dod);
     prev += prev_delta;
+    if (static_cast<Timestamp>(prev) > hi) {
+      ts->resize(i);
+      if (!SkipVarints(input, n - i - 1)) {
+        return Status::Corruption("timestamp dod");
+      }
+      return Status::OK();
+    }
     (*ts)[i] = static_cast<Timestamp>(prev);
   }
   return Status::OK();
+}
+
+bool SkipVarints(Slice* input, size_t count) {
+  const char* p = input->data();
+  const char* const end = p + input->size();
+  // Eight bytes at a time while the word cannot hold the count-th end.
+  constexpr uint64_t kHighBits = 0x8080808080808080ULL;
+  while (end - p >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    const size_t ends =
+        static_cast<size_t>(__builtin_popcountll(~word & kHighBits));
+    if (ends >= count) break;
+    count -= ends;
+    p += 8;
+  }
+  for (; count > 0 && p < end; ++p) {
+    if ((static_cast<unsigned char>(*p) & 0x80) == 0) --count;
+  }
+  if (count > 0) return false;
+  input->remove_prefix(static_cast<size_t>(p - input->data()));
+  return true;
 }
 
 }  // namespace odh::core

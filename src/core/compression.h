@@ -54,12 +54,30 @@ Status EncodeColumn(const double* values, size_t n,
 /// Decodes a column of `n` values produced by EncodeColumn.
 Status DecodeColumn(Slice input, size_t n, std::vector<double>* values);
 
+/// Decodes only the first `m` (<= n) of the column's `n` values: *values
+/// gets exactly what the first m entries of a full decode hold. Every
+/// codec stops once it has them, so bytes past them are never read (nor
+/// checked).
+Status DecodeColumn(Slice input, size_t n, size_t m,
+                    std::vector<double>* values);
+
 /// Timestamp compression for irregular series: delta-of-delta varints
 /// against `base`.
 void EncodeTimestamps(const Timestamp* ts, size_t n, Timestamp base,
                       std::string* out);
 Status DecodeTimestamps(Slice* input, size_t n, Timestamp base,
                         std::vector<Timestamp>* ts);
+
+/// Like DecodeTimestamps, for non-decreasing timestamps read up to `hi`:
+/// *ts keeps those before the first one past `hi`, and the remaining
+/// varints are skipped unparsed. *input ends after all `n` either way.
+Status DecodeTimestampsUpTo(Slice* input, size_t n, Timestamp base,
+                            Timestamp hi, std::vector<Timestamp>* ts);
+
+/// Advances *input past `count` varints without decoding them (a varint
+/// ends at a byte below 0x80). False, with *input untouched, when it holds
+/// fewer.
+bool SkipVarints(Slice* input, size_t count);
 
 }  // namespace odh::core
 

@@ -125,6 +125,9 @@ void OdhSystem::RegisterGauges() {
   m->RegisterGauge("odh.reader.blob_bytes_read", [reader] {
     return static_cast<double>(reader->stats().blob_bytes_read);
   });
+  m->RegisterGauge("odh.reader.blob_bytes_skipped", [reader] {
+    return static_cast<double>(reader->stats().blob_bytes_skipped);
+  });
   m->RegisterGauge("odh.reader.records_emitted", [reader] {
     return static_cast<double>(reader->stats().records_emitted);
   });

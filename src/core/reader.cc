@@ -186,16 +186,18 @@ struct UnitHandover {
 /// consumer when it runs inline, a pool worker when dispatched.
 struct ScanUnit {
   /// Moves the unit's next blob into *out; false once it is exhausted. A
-  /// slice unit refills `blobs` one store chunk at a time (no pruning
-  /// stats: SliceSegments already counted this scan's).
+  /// slice unit refills `blobs` one store chunk at a time, fetched as
+  /// `projection` says (no pruning stats: SliceSegments already counted
+  /// this scan's).
   Result<bool> NextBlob(OdhStore* store, int schema_type, Timestamp lo,
-                        Timestamp hi, QueuedBlob* out) {
+                        Timestamp hi, const SeriesProjection& projection,
+                        QueuedBlob* out) {
     while (next_blob == blobs.size()) {
       if (!is_slice || slice_done) return false;
       std::vector<BlobRecord> chunk;
-      ODH_RETURN_IF_ERROR(store->NextSliceChunk(schema_type, slice_irts, lo,
-                                                hi, &slice_cursor, &chunk,
-                                                &slice_done));
+      ODH_RETURN_IF_ERROR(store->NextSliceChunk(
+          schema_type, slice_irts, lo, hi, &slice_cursor, &chunk,
+          &slice_done, /*stats=*/nullptr, projection));
       blobs.clear();
       next_blob = 0;
       for (auto& rec : chunk) {
@@ -291,12 +293,20 @@ class BlobDecoder {
     cacheable_ = reader->cache_ != nullptr && TagMaskOf(tags_, &tag_mask_);
   }
 
-  /// Decodes `blob` whole — no time trim, no id filter: series batches
-  /// with every column full-length, MG batches columnarized with per-row
-  /// ids. When cacheable, *cached holds the shared result (a hit, or the
-  /// fresh decode just inserted); otherwise *cached stays null and the
-  /// result lands in *owned.
-  Status Decode(const QueuedBlob& blob,
+  /// What a scan's listing must fetch of each series blob for this
+  /// decoder: its tags' sections, and the zone map when `zone_map`.
+  SeriesProjection Projection(bool zone_map) const {
+    return SeriesProjection{tags_, zone_map};
+  }
+
+  /// Decodes `blob` untrimmed — no lower time bound, no id filter: series
+  /// batches with every wanted column as long as the timestamps, MG
+  /// batches columnarized with per-row ids. When cacheable, *cached holds
+  /// the shared result (a hit, or the fresh decode just inserted), decoded
+  /// whole; otherwise *cached stays null and the result lands in *owned,
+  /// where a series decode stops at `hi` (the points after it are the
+  /// ones a trim to [lo, hi] would drop).
+  Status Decode(const QueuedBlob& blob, Timestamp hi,
                 std::shared_ptr<const RecordBatch>* cached,
                 RecordBatch* owned) const {
     const BlobRecord& rec = blob.record;
@@ -318,9 +328,11 @@ class BlobDecoder {
     Bump(&reader_->blobs_decoded_, counters_, &ScanCounters::blobs_decoded);
     Bump(&reader_->blob_bytes_read_, counters_,
          &ScanCounters::blob_bytes_read, static_cast<int64_t>(rec.blob.size()));
-    if (!cacheable_) return DecodeUntrimmed(blob, owned);
+    Bump(&reader_->blob_bytes_skipped_, counters_,
+         &ScanCounters::blob_bytes_skipped, rec.bytes_skipped);
+    if (!cacheable_) return DecodeUntrimmed(blob, hi, owned);
     auto full = std::make_shared<RecordBatch>();
-    ODH_RETURN_IF_ERROR(DecodeUntrimmed(blob, full.get()));
+    ODH_RETURN_IF_ERROR(DecodeUntrimmed(blob, kMaxTimestamp, full.get()));
     const size_t bytes = BatchBytes(*full);
     *cached = full;
     reader_->cache_->Insert(key, std::move(full), bytes);
@@ -328,7 +340,8 @@ class BlobDecoder {
   }
 
  private:
-  Status DecodeUntrimmed(const QueuedBlob& blob, RecordBatch* batch) const {
+  Status DecodeUntrimmed(const QueuedBlob& blob, Timestamp hi,
+                         RecordBatch* batch) const {
     const BlobRecord& rec = blob.record;
     if (blob.kind == BlobKind::kMg) {
       std::vector<OperationalRecord> records;
@@ -341,11 +354,11 @@ class BlobDecoder {
     if (blob.kind == BlobKind::kRts) {
       ODH_RETURN_IF_ERROR(codec_.DecodeRts(Slice(rec.blob), rec.id,
                                            rec.begin, rec.interval, tags_,
-                                           num_tags_, &series));
+                                           num_tags_, &series, hi));
     } else {
       ODH_RETURN_IF_ERROR(codec_.DecodeIrts(Slice(rec.blob), rec.id,
                                             rec.begin, tags_, num_tags_,
-                                            &series));
+                                            &series, hi));
     }
     batch->uniform_id = series.id;
     batch->timestamps = std::move(series.timestamps);
@@ -396,6 +409,8 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
         num_tags_(num_tags),
         decoder_(reader, schema_type, spec, std::move(wanted_tags), num_tags,
                  counters),
+        // Zone maps are read only to prune by the pushed tag filters.
+        projection_(decoder_.Projection(!tag_filters_.empty())),
         counters_(counters),
         count_pruning_(count_pruning) {}
 
@@ -404,7 +419,7 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   Status Init(const RouteDecision& route) {
     SegmentScanStats seg_stats;
     ODH_RETURN_IF_ERROR(reader_->PlanScan(schema_type_, id_, route, lo_, hi_,
-                                          &seg_stats, &plan_));
+                                          projection_, &seg_stats, &plan_));
     if (count_pruning_) {
       Bump(&reader_->segments_pruned_, counters_,
            &ScanCounters::segments_pruned, seg_stats.segments_pruned);
@@ -494,15 +509,16 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   /// only the unit, immutable cursor state and the thread-safe decoder.
   Result<bool> NextUnitBatch(ScanUnit* u, RecordBatch* batch) {
     QueuedBlob blob;
-    ODH_ASSIGN_OR_RETURN(bool got, u->NextBlob(reader_->store_, schema_type_,
-                                               lo_, hi_, &blob));
+    ODH_ASSIGN_OR_RETURN(bool got,
+                         u->NextBlob(reader_->store_, schema_type_, lo_, hi_,
+                                     projection_, &blob));
     if (!got) return false;
     if (Prunable(blob.record)) {
       Bump(&reader_->blobs_pruned_, counters_, &ScanCounters::blobs_pruned);
       return true;
     }
     std::shared_ptr<const RecordBatch> cached;
-    ODH_RETURN_IF_ERROR(decoder_.Decode(blob, &cached, batch));
+    ODH_RETURN_IF_ERROR(decoder_.Decode(blob, hi_, &cached, batch));
     // MG blobs mix sources, so the id constraint applies to them only.
     const SourceId id_filter = blob.kind == BlobKind::kMg ? id_ : -1;
     if (cached != nullptr) {
@@ -703,6 +719,7 @@ class OdhScanCursorImpl : public RecordCursor, public RecordBatchCursor {
   std::vector<TagFilter> tag_filters_;
   int num_tags_;
   const BlobDecoder decoder_;
+  const SeriesProjection projection_;
   ScanCounters* counters_;  // Per-query profile; may be null.
   bool count_pruning_;  // False for windows: the window loop counts.
 
@@ -829,15 +846,15 @@ class AggregateAccumulator {
 
 Result<OdhStore::HistoricalListing> OdhReader::ListConsistent(
     int schema_type, SourceId id, const RouteDecision& route, Timestamp lo,
-    Timestamp hi, SegmentScanStats* seg_stats,
-    std::vector<OperationalRecord>* dirty) {
+    Timestamp hi, const SeriesProjection& projection,
+    SegmentScanStats* seg_stats, std::vector<OperationalRecord>* dirty) {
   while (true) {
     *seg_stats = SegmentScanStats{};
     ODH_ASSIGN_OR_RETURN(
         OdhStore::HistoricalListing listing,
         store_->ListHistorical(schema_type, id, route.scan_rts,
                                route.scan_irts, route.scan_mg, route.mg_group,
-                               lo, hi, seg_stats));
+                               lo, hi, seg_stats, projection));
     uint64_t flushed_through = 0;
     dirty->clear();
     ODH_RETURN_IF_ERROR(writer_->CollectDirty(schema_type, id, lo, hi, dirty,
@@ -849,19 +866,19 @@ Result<OdhStore::HistoricalListing> OdhReader::ListConsistent(
         store_->CatchUpHistorical(schema_type, id, route.scan_rts,
                                   route.scan_irts, route.scan_mg,
                                   route.mg_group, lo, hi, flushed_through,
-                                  &listing));
+                                  &listing, projection));
     if (caught_up) return listing;
   }
 }
 
 Status OdhReader::PlanScan(int schema_type, SourceId id,
                            const RouteDecision& route, Timestamp lo,
-                           Timestamp hi, SegmentScanStats* seg_stats,
-                           ScanPlan* plan) {
+                           Timestamp hi, const SeriesProjection& projection,
+                           SegmentScanStats* seg_stats, ScanPlan* plan) {
   if (id >= 0) {
     ODH_ASSIGN_OR_RETURN(OdhStore::HistoricalListing listing,
                          ListConsistent(schema_type, id, route, lo, hi,
-                                        seg_stats, &plan->dirty));
+                                        projection, seg_stats, &plan->dirty));
     // A regular source stores a one-point or jittered batch as IRTS, so
     // its RTS and IRTS blobs interleave in time: queue them in begin order
     // (RTS first on a tie), and the scan returns the source's points in
@@ -1002,6 +1019,8 @@ Result<AggregateResult> OdhReader::Aggregate(
   const BlobDecoder decoder(this, schema_type, type->compression,
                             std::vector<int>(needed.begin(), needed.end()),
                             num_tags, counters);
+  // Every blob's zone map is read: it prunes and answers from summaries.
+  const SeriesProjection projection = decoder.Projection(/*zone_map=*/true);
 
   // The scan's units and unflushed rows, planned exactly as a scan of the
   // same range plans them.
@@ -1009,7 +1028,7 @@ Result<AggregateResult> OdhReader::Aggregate(
   ScanPlan plan;
   SegmentScanStats seg_stats;
   ODH_RETURN_IF_ERROR(PlanScan(schema_type, id, target.route, lo, hi,
-                               &seg_stats, &plan));
+                               projection, &seg_stats, &plan));
   Bump(&segments_pruned_, counters, &ScanCounters::segments_pruned,
        seg_stats.segments_pruned);
 
@@ -1056,7 +1075,7 @@ Result<AggregateResult> OdhReader::Aggregate(
     // Fallback: decode and fold the boundary / unprovable blob.
     std::shared_ptr<const RecordBatch> cached;
     RecordBatch owned;
-    ODH_RETURN_IF_ERROR(decoder.Decode(blob, &cached, &owned));
+    ODH_RETURN_IF_ERROR(decoder.Decode(blob, hi, &cached, &owned));
     const int64_t in_range =
         acc->AddBatch(cached != nullptr ? *cached : owned, lo, hi,
                       blob.kind == BlobKind::kMg ? id : -1);
@@ -1066,8 +1085,9 @@ Result<AggregateResult> OdhReader::Aggregate(
   auto run_unit = [&](ScanUnit* unit, AggregateAccumulator* acc) -> Status {
     QueuedBlob blob;
     while (true) {
-      ODH_ASSIGN_OR_RETURN(bool got,
-                           unit->NextBlob(store_, schema_type, lo, hi, &blob));
+      ODH_ASSIGN_OR_RETURN(
+          bool got,
+          unit->NextBlob(store_, schema_type, lo, hi, projection, &blob));
       if (!got) return Status::OK();
       ODH_RETURN_IF_ERROR(process_blob(blob, acc));
     }

@@ -68,7 +68,12 @@ struct ReadStats {
   int64_t blobs_decoded = 0;
   int64_t blobs_pruned = 0;  // Skipped entirely via zone maps.
   int64_t blobs_skipped_by_summary = 0;  // Aggregated without decoding.
+  /// Bytes of the decoded blobs fetched from their pages: all of a blob
+  /// that fits on a page, only the requested sections (plus header and
+  /// directory) of a longer one.
   int64_t blob_bytes_read = 0;
+  /// Bytes of the decoded blobs their projected fetch left unread.
+  int64_t blob_bytes_skipped = 0;
   int64_t records_emitted = 0;
   /// Whole segments skipped by manifest time bounds (no page reads).
   int64_t segments_pruned = 0;
@@ -223,6 +228,8 @@ class OdhReader {
     s.blobs_skipped_by_summary =
         blobs_skipped_by_summary_.load(std::memory_order_relaxed);
     s.blob_bytes_read = blob_bytes_read_.load(std::memory_order_relaxed);
+    s.blob_bytes_skipped =
+        blob_bytes_skipped_.load(std::memory_order_relaxed);
     s.records_emitted = records_emitted_.load(std::memory_order_relaxed);
     s.segments_pruned = segments_pruned_.load(std::memory_order_relaxed);
     s.blob_cache_hits = blob_cache_hits_.load(std::memory_order_relaxed);
@@ -244,6 +251,8 @@ class OdhReader {
         blobs_skipped_by_summary_.exchange(0, std::memory_order_relaxed);
     s.blob_bytes_read =
         blob_bytes_read_.exchange(0, std::memory_order_relaxed);
+    s.blob_bytes_skipped =
+        blob_bytes_skipped_.exchange(0, std::memory_order_relaxed);
     s.records_emitted =
         records_emitted_.exchange(0, std::memory_order_relaxed);
     s.segments_pruned =
@@ -283,16 +292,19 @@ class OdhReader {
   /// (compaction or a very long gap) does the listing repeat.
   Result<OdhStore::HistoricalListing> ListConsistent(
       int schema_type, SourceId id, const RouteDecision& route, Timestamp lo,
-      Timestamp hi, SegmentScanStats* seg_stats,
-      std::vector<OperationalRecord>* dirty);
+      Timestamp hi, const SeriesProjection& projection,
+      SegmentScanStats* seg_stats, std::vector<OperationalRecord>* dirty);
 
   /// Plans a scan or aggregate of `id` (< 0: slice) into *plan: its units
   /// in emission order — a historical listing split by (structure,
   /// segment), or a slice's MG blobs plus one pinned-cursor unit per
-  /// listed segment — and the unflushed rows that follow them.
+  /// listed segment — and the unflushed rows that follow them. Listed
+  /// series blobs are fetched as `projection` says (slice units fetch
+  /// theirs chunk by chunk, ScanUnit::NextBlob).
   Status PlanScan(int schema_type, SourceId id, const RouteDecision& route,
-                  Timestamp lo, Timestamp hi, SegmentScanStats* seg_stats,
-                  ScanPlan* plan);
+                  Timestamp lo, Timestamp hi,
+                  const SeriesProjection& projection,
+                  SegmentScanStats* seg_stats, ScanPlan* plan);
 
   /// Shared body of the Open* entry points (`id` < 0: slice).
   Result<std::unique_ptr<OdhScanCursorImpl>> OpenScan(
@@ -310,6 +322,7 @@ class OdhReader {
   std::atomic<int64_t> blobs_pruned_{0};
   std::atomic<int64_t> blobs_skipped_by_summary_{0};
   std::atomic<int64_t> blob_bytes_read_{0};
+  std::atomic<int64_t> blob_bytes_skipped_{0};
   std::atomic<int64_t> records_emitted_{0};
   std::atomic<int64_t> segments_pruned_{0};
   std::atomic<int64_t> blob_cache_hits_{0};

@@ -27,21 +27,58 @@ void EncodeSeriesRecord(const SeriesRecord& rec, uint32_t header_bytes,
   PutLengthPrefixed(out, rec.zone_map);
 }
 
-Status ParseSeriesRecord(Slice input, uint32_t header_bytes,
-                         SeriesRecord* rec) {
-  if (input.size() < header_bytes + 1) {
+namespace {
+
+/// Parses the fixed fields of a series record off the front of *input.
+Status ParseFixedFields(Slice* input, uint32_t header_bytes,
+                        SeriesRecord* rec) {
+  if (input->size() < header_bytes + 1) {
     return Status::Corruption("series record too short");
   }
-  input.remove_prefix(header_bytes);
-  if (input[0] != 0) return Status::Corruption("series record has a NULL");
-  input.remove_prefix(1);
-  if (!GetVarintSigned64(&input, &rec->id) ||
-      !GetVarintSigned64(&input, &rec->begin) ||
-      !GetVarintSigned64(&input, &rec->end) ||
-      !GetVarintSigned64(&input, &rec->interval) ||
-      !GetVarintSigned64(&input, &rec->n)) {
+  input->remove_prefix(header_bytes);
+  if ((*input)[0] != 0) return Status::Corruption("series record has a NULL");
+  input->remove_prefix(1);
+  if (!GetVarintSigned64(input, &rec->id) ||
+      !GetVarintSigned64(input, &rec->begin) ||
+      !GetVarintSigned64(input, &rec->end) ||
+      !GetVarintSigned64(input, &rec->interval) ||
+      !GetVarintSigned64(input, &rec->n)) {
     return Status::Corruption("series record field");
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ParseSeriesHead(Slice head, uint32_t header_bytes, size_t record_size,
+                       SeriesRecord* rec, BlobSpan* blob) {
+  if (head.size() >= record_size) {
+    ODH_RETURN_IF_ERROR(
+        ParseSeriesRecord(Slice(head.data(), record_size), header_bytes, rec));
+    blob->offset = static_cast<size_t>(rec->blob.data() - head.data());
+    blob->size = rec->blob.size();
+    return Status::OK();
+  }
+  Slice input = head;
+  ODH_RETURN_IF_ERROR(ParseFixedFields(&input, header_bytes, rec));
+  uint32_t size;
+  if (!GetVarint32(&input, &size)) {
+    return Status::Corruption("series record string");
+  }
+  blob->offset = head.size() - input.size();
+  // The zone map's length prefix takes at least a byte after the blob.
+  if (size >= record_size - blob->offset) {
+    return Status::Corruption("series blob overruns the record");
+  }
+  blob->size = size;
+  rec->blob = Slice();
+  rec->zone_map = Slice();
+  return Status::OK();
+}
+
+Status ParseSeriesRecord(Slice input, uint32_t header_bytes,
+                         SeriesRecord* rec) {
+  ODH_RETURN_IF_ERROR(ParseFixedFields(&input, header_bytes, rec));
   if (!GetLengthPrefixed(&input, &rec->blob) ||
       !GetLengthPrefixed(&input, &rec->zone_map)) {
     return Status::Corruption("series record string");

@@ -40,6 +40,23 @@ void EncodeSeriesRecord(const SeriesRecord& rec, uint32_t header_bytes,
 Status ParseSeriesRecord(Slice input, uint32_t header_bytes,
                          SeriesRecord* rec);
 
+/// Where a series record's blob lies in the record: bytes
+/// [offset, offset + size). The zone map follows it, length-prefixed, to
+/// the record's end.
+struct BlobSpan {
+  size_t offset = 0;
+  size_t size = 0;
+};
+
+/// Parses a record from its first bytes, `head`, of a record
+/// `record_size` bytes long (a heap head read): the fixed fields land in
+/// *rec and the blob's place in *blob. When `head` is the whole record it
+/// is parsed as ParseSeriesRecord does, and rec->blob and rec->zone_map
+/// view it; otherwise they are left empty. Corruption for a head that
+/// cannot hold the fixed fields or a blob that overruns the record.
+Status ParseSeriesHead(Slice head, uint32_t header_bytes, size_t record_size,
+                       SeriesRecord* rec, BlobSpan* blob);
+
 }  // namespace odh::core
 
 #endif  // ODH_CORE_SERIES_RECORD_H_

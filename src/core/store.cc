@@ -5,8 +5,10 @@
 #include <mutex>
 #include <tuple>
 
+#include "common/coding.h"
 #include "common/key_codec.h"
 #include "core/series_record.h"
+#include "core/value_blob.h"
 #include "storage/spill_file.h"
 
 namespace odh::core {
@@ -55,20 +57,35 @@ Status ParseSeries(const relational::Table* table, Slice record,
   return ParseSeriesRecord(record, table->codec().header_bytes(), rec);
 }
 
-/// Copies a parsed series record into a BlobRecord: the one copy of its
-/// blob on the read path.
-void ToBlobRecord(const SeriesRecord& rec, const relational::Rid& rid,
-                  int64_t seg, int64_t generation, BlobRecord* out) {
+/// Parses the series record of `table` whose head `buf` holds.
+Status ParseHead(const relational::Table* table,
+                 const relational::HeapFile::RecordBuffer& buf,
+                 SeriesRecord* rec, BlobSpan* blob) {
+  return ParseSeriesHead(buf.data(), table->codec().header_bytes(),
+                         buf.size(), rec, blob);
+}
+
+/// Sets a BlobRecord's fields from a parsed series record, blob and zone
+/// map excepted.
+void SetFields(const SeriesRecord& rec, const relational::Rid& rid,
+               int64_t seg, int64_t generation, BlobRecord* out) {
   out->id = rec.id;
   out->begin = rec.begin;
   out->end = rec.end;
   out->interval = rec.interval;
   out->n = rec.n;
-  out->blob.assign(rec.blob.data(), rec.blob.size());
-  out->zone_map.assign(rec.zone_map.data(), rec.zone_map.size());
   out->rid = rid;
   out->seg = seg;
   out->generation = generation;
+  out->bytes_skipped = 0;
+}
+
+/// Copies a whole parsed series record into a BlobRecord.
+void ToBlobRecord(const SeriesRecord& rec, const relational::Rid& rid,
+                  int64_t seg, int64_t generation, BlobRecord* out) {
+  SetFields(rec, rid, seg, generation, out);
+  out->blob.assign(rec.blob.data(), rec.blob.size());
+  out->zone_map.assign(rec.zone_map.data(), rec.zone_map.size());
 }
 
 /// Decodes an MG-container row (MG rows keep the Row path: their table
@@ -368,10 +385,117 @@ void OdhStore::LogRecentPut(int schema_type, WalRecord::Kind kind,
 
 namespace {
 
+/// Copies the blob sections `projection` asks for out of an overflow
+/// record into out->blob (see SeriesProjection): the blob's header and
+/// directory with unrequested section sizes set to 0, then the requested
+/// sections, read by range. The header and directory are parsed from the
+/// head page, extended a page at a time in *scratch when an IRTS blob's
+/// timestamps run past it.
+Status ProjectBlob(relational::Table* table,
+                   const relational::HeapFile::RecordBuffer& buf,
+                   const BlobSpan& span, bool irts,
+                   const std::vector<int>& tags, std::string* scratch,
+                   BlobRecord* out) {
+  const size_t blob_offset = span.offset;
+  const size_t blob_size = span.size;
+  const Slice on_hand = buf.data();
+  Slice prefix(on_hand.data() + blob_offset,
+               std::min(on_hand.size() - blob_offset, blob_size));
+  scratch->clear();
+  BlobDirectory dir;
+  while (true) {
+    ODH_ASSIGN_OR_RETURN(bool parsed,
+                         ParseBlobDirectory(prefix, blob_size, irts, &dir));
+    if (parsed) break;
+    if (scratch->empty()) scratch->assign(prefix.data(), prefix.size());
+    const size_t more = std::min(on_hand.size(), blob_size - scratch->size());
+    ODH_RETURN_IF_ERROR(table->ReadRange(
+        buf, blob_offset + scratch->size(), more, scratch));
+    prefix = Slice(*scratch);
+  }
+  std::vector<bool> want(dir.sizes.size(), false);
+  for (int t : tags) {
+    if (t >= 0 && static_cast<size_t>(t) < want.size()) want[t] = true;
+  }
+  std::string& blob = out->blob;
+  blob.clear();
+  blob.append(prefix.data(), dir.directory_offset);
+  PutVarint32(&blob, static_cast<uint32_t>(dir.sizes.size()));
+  for (size_t t = 0; t < dir.sizes.size(); ++t) {
+    PutVarint32(&blob, want[t] ? dir.sizes[t] : 0);
+  }
+  // Requested sections in tag order, adjacent ones in one range read.
+  size_t fetched = dir.sections_offset;
+  size_t offset = dir.sections_offset;
+  size_t t = 0;
+  while (t < dir.sizes.size()) {
+    if (!want[t]) {
+      offset += dir.sizes[t++];
+      continue;
+    }
+    size_t len = 0;
+    for (; t < dir.sizes.size() && want[t]; ++t) len += dir.sizes[t];
+    if (offset > blob_size || len > blob_size - offset) {
+      return Status::Corruption("tag section out of range");
+    }
+    ODH_RETURN_IF_ERROR(
+        table->ReadRange(buf, blob_offset + offset, len, &blob));
+    offset += len;
+    fetched += len;
+  }
+  out->bytes_skipped = static_cast<int64_t>(blob_size - fetched);
+  return Status::OK();
+}
+
+/// Fills *out from the series record whose head `buf` holds and
+/// ParseHead parsed into `rec` and `blob`: the fixed fields, and the blob
+/// and zone map as `projection` says. A record on hand whole is copied
+/// from its page; of an overflow record only the ranges asked for are
+/// read.
+Status FetchSeries(relational::Table* table,
+                   const relational::HeapFile::RecordBuffer& buf,
+                   const SeriesRecord& rec, const BlobSpan& blob, bool irts,
+                   const relational::Rid& rid, int64_t seg,
+                   int64_t generation, const SeriesProjection& projection,
+                   std::string* scratch, BlobRecord* out) {
+  SetFields(rec, rid, seg, generation, out);
+  out->zone_map.clear();
+  if (buf.complete()) {
+    out->blob.assign(rec.blob.data(), rec.blob.size());
+    if (projection.zone_map) {
+      out->zone_map.assign(rec.zone_map.data(), rec.zone_map.size());
+    }
+    return Status::OK();
+  }
+  if (projection.tags.empty()) {
+    out->blob.clear();
+    ODH_RETURN_IF_ERROR(
+        table->ReadRange(buf, blob.offset, blob.size, &out->blob));
+  } else {
+    ODH_RETURN_IF_ERROR(
+        ProjectBlob(table, buf, blob, irts, projection.tags, scratch, out));
+  }
+  if (projection.zone_map) {
+    // The length-prefixed zone map runs to the record's end.
+    const size_t tail = blob.offset + blob.size;
+    scratch->clear();
+    ODH_RETURN_IF_ERROR(
+        table->ReadRange(buf, tail, buf.size() - tail, scratch));
+    Slice in(*scratch);
+    Slice zone_map;
+    if (!GetLengthPrefixed(&in, &zone_map) || !in.empty()) {
+      return Status::Corruption("series record zone map");
+    }
+    out->zone_map.assign(zone_map.data(), zone_map.size());
+  }
+  return Status::OK();
+}
+
 Status ScanSeries(relational::Table* table, const SeriesDirectory& dir,
                   const ContainerStats& stats, int64_t seg_key,
-                  int64_t generation, SourceId id, Timestamp lo, Timestamp hi,
-                  std::atomic<int64_t>* examined,
+                  int64_t generation, bool irts, SourceId id, Timestamp lo,
+                  Timestamp hi, const SeriesProjection& projection,
+                  std::string* scratch, std::atomic<int64_t>* examined,
                   std::atomic<int64_t>* discarded,
                   std::vector<BlobRecord>* out) {
   auto source = dir.by_source.find(id);
@@ -389,12 +513,15 @@ Status ScanSeries(relational::Table* table, const SeriesDirectory& dir,
       });
   relational::HeapFile::RecordBuffer buf;
   SeriesRecord rec;
+  BlobSpan blob;
   for (; it != list.end() && it->begin <= hi; ++it) {
-    ODH_ASSIGN_OR_RETURN(Slice record, table->GetRecord(it->rid, &buf));
-    ODH_RETURN_IF_ERROR(ParseSeries(table, record, &rec));
+    ODH_RETURN_IF_ERROR(table->ReadHead(it->rid, &buf));
+    ODH_RETURN_IF_ERROR(ParseHead(table, buf, &rec, &blob));
     examined->fetch_add(1, std::memory_order_relaxed);
     if (rec.end >= lo) {
-      ToBlobRecord(rec, it->rid, seg_key, generation, &out->emplace_back());
+      ODH_RETURN_IF_ERROR(FetchSeries(table, buf, rec, blob, irts, it->rid,
+                                      seg_key, generation, projection,
+                                      scratch, &out->emplace_back()));
     } else {
       discarded->fetch_add(1, std::memory_order_relaxed);
     }
@@ -406,7 +533,7 @@ Status ScanSeries(relational::Table* table, const SeriesDirectory& dir,
 
 Result<std::vector<BlobRecord>> OdhStore::GetSeriesLocked(
     int schema_type, bool irts, SourceId id, Timestamp lo, Timestamp hi,
-    SegmentScanStats* stats) {
+    SegmentScanStats* stats, const SeriesProjection& projection) {
   ODH_ASSIGN_OR_RETURN(Container * container, GetContainer(schema_type));
   std::vector<BlobRecord> out;
   for (auto& [key, seg] : container->segments) {
@@ -415,11 +542,10 @@ Result<std::vector<BlobRecord>> OdhStore::GetSeriesLocked(
       if (sstats.blob_count > 0) CountSegmentPruned(stats);
       continue;
     }
-    ODH_RETURN_IF_ERROR(ScanSeries(irts ? seg.irts : seg.rts,
-                                   irts ? seg.irts_dir : seg.rts_dir, sstats,
-                                   key, seg.manifest.generation, id, lo, hi,
-                                   &blobs_examined_, &blobs_discarded_,
-                                   &out));
+    ODH_RETURN_IF_ERROR(ScanSeries(
+        irts ? seg.irts : seg.rts, irts ? seg.irts_dir : seg.rts_dir, sstats,
+        key, seg.manifest.generation, irts, id, lo, hi, projection,
+        &record_scratch_, &blobs_examined_, &blobs_discarded_, &out));
   }
   return out;
 }
@@ -429,7 +555,7 @@ Result<std::vector<BlobRecord>> OdhStore::GetRts(int schema_type,
                                                  Timestamp hi,
                                                  SegmentScanStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  return GetSeriesLocked(schema_type, /*irts=*/false, id, lo, hi, stats);
+  return GetSeriesLocked(schema_type, /*irts=*/false, id, lo, hi, stats, {});
 }
 
 Result<std::vector<BlobRecord>> OdhStore::GetIrts(int schema_type,
@@ -437,7 +563,7 @@ Result<std::vector<BlobRecord>> OdhStore::GetIrts(int schema_type,
                                                   Timestamp hi,
                                                   SegmentScanStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  return GetSeriesLocked(schema_type, /*irts=*/true, id, lo, hi, stats);
+  return GetSeriesLocked(schema_type, /*irts=*/true, id, lo, hi, stats, {});
 }
 
 Result<std::vector<BlobRecord>> OdhStore::GetMgLocked(int schema_type,
@@ -487,18 +613,19 @@ Result<std::vector<BlobRecord>> OdhStore::GetMg(int schema_type,
 
 Result<OdhStore::HistoricalListing> OdhStore::ListHistorical(
     int schema_type, SourceId id, bool rts, bool irts, bool mg,
-    int64_t mg_group, Timestamp lo, Timestamp hi, SegmentScanStats* stats) {
+    int64_t mg_group, Timestamp lo, Timestamp hi, SegmentScanStats* stats,
+    const SeriesProjection& projection) {
   std::lock_guard<std::mutex> lock(mu_);
   HistoricalListing listing;
   if (rts) {
     ODH_ASSIGN_OR_RETURN(listing.rts,
                          GetSeriesLocked(schema_type, false, id, lo, hi,
-                                         stats));
+                                         stats, projection));
   }
   if (irts) {
     ODH_ASSIGN_OR_RETURN(listing.irts,
                          GetSeriesLocked(schema_type, true, id, lo, hi,
-                                         stats));
+                                         stats, projection));
   }
   if (mg) {
     ODH_ASSIGN_OR_RETURN(listing.mg,
@@ -512,7 +639,8 @@ Result<bool> OdhStore::CatchUpHistorical(int schema_type, SourceId id,
                                          bool rts, bool irts, bool mg,
                                          int64_t mg_group, Timestamp lo,
                                          Timestamp hi, uint64_t through,
-                                         HistoricalListing* listing) {
+                                         HistoricalListing* listing,
+                                         const SeriesProjection& projection) {
   const uint64_t after = listing->put_seq;
   if (through <= after) return true;
   std::lock_guard<std::mutex> lock(mu_);
@@ -553,17 +681,18 @@ Result<bool> OdhStore::CatchUpHistorical(int schema_type, SourceId id,
       delta.mg.push_back(std::move(rec));
       continue;
     }
-    relational::Table* table =
-        e.kind == WalRecord::Kind::kRts ? seg.rts : seg.irts;
-    Result<Slice> record = table->GetRecord(e.rid, &buf);
-    if (!record.ok()) return false;
+    const bool is_irts = e.kind == WalRecord::Kind::kIrts;
+    relational::Table* table = is_irts ? seg.irts : seg.rts;
+    if (!table->ReadHead(e.rid, &buf).ok()) return false;
     SeriesRecord series;
-    ODH_RETURN_IF_ERROR(ParseSeries(table, *record, &series));
+    BlobSpan blob;
+    ODH_RETURN_IF_ERROR(ParseHead(table, buf, &series, &blob));
     if (series.begin != e.begin || series.id != e.id_or_group) return false;
     if (series.end < lo || series.begin > hi) continue;
-    ToBlobRecord(series, e.rid, e.seg, e.generation,
-                 &(e.kind == WalRecord::Kind::kRts ? delta.rts : delta.irts)
-                      .emplace_back());
+    ODH_RETURN_IF_ERROR(FetchSeries(
+        table, buf, series, blob, is_irts, e.rid, e.seg, e.generation,
+        projection, &record_scratch_,
+        &(is_irts ? delta.irts : delta.rts).emplace_back()));
   }
   auto append = [](std::vector<BlobRecord>* from, std::vector<BlobRecord>* to) {
     for (BlobRecord& rec : *from) to->push_back(std::move(rec));
@@ -651,7 +780,8 @@ Status OdhStore::CompactMg(int schema_type) {
 Status OdhStore::NextSliceChunk(int schema_type, bool irts, Timestamp lo,
                                 Timestamp hi, SliceCursor* cursor,
                                 std::vector<BlobRecord>* out, bool* done,
-                                SegmentScanStats* stats) {
+                                SegmentScanStats* stats,
+                                const SeriesProjection& projection) {
   out->clear();
   *done = false;
   std::lock_guard<std::mutex> lock(mu_);
@@ -712,15 +842,19 @@ Status OdhStore::NextSliceChunk(int schema_type, bool irts, Timestamp lo,
   relational::Rid last{};
   SeriesRecord rec;
   while (rows.Valid()) {
-    ODH_RETURN_IF_ERROR(ParseSeries(table, rows.record(), &rec));
+    const relational::HeapFile::RecordBuffer& buf = rows.buffer();
+    BlobSpan blob;
+    ODH_RETURN_IF_ERROR(ParseHead(table, buf, &rec, &blob));
     last = rows.rid();
     ++consumed;
-    // Same overlap filter the streaming path applied, checked before the
-    // blob is copied; deliberately not counted in blobs_examined/discarded
-    // (slice scans never were).
+    // Same overlap filter the streaming path applied, checked from the
+    // head before anything else of the record is read; deliberately not
+    // counted in blobs_examined/discarded (slice scans never were).
     if (rec.end >= lo && rec.begin <= hi) {
-      ToBlobRecord(rec, last, key, seg.manifest.generation,
-                   &out->emplace_back());
+      ODH_RETURN_IF_ERROR(FetchSeries(table, buf, rec, blob, irts, last,
+                                      key, seg.manifest.generation,
+                                      projection, &record_scratch_,
+                                      &out->emplace_back()));
     }
     ODH_RETURN_IF_ERROR(rows.Next());
     if (consumed >= kSliceChunkRows && rows.Valid()) {
@@ -967,7 +1101,8 @@ Result<SegmentSnapshot> OdhStore::SnapshotSegment(int schema_type,
     ODH_RETURN_IF_ERROR(rows.SeekToFirst());
     SeriesRecord rec;
     while (rows.Valid()) {
-      ODH_RETURN_IF_ERROR(ParseSeries(table, rows.record(), &rec));
+      ODH_ASSIGN_OR_RETURN(Slice record, rows.record());
+      ODH_RETURN_IF_ERROR(ParseSeries(table, record, &rec));
       ToBlobRecord(rec, rows.rid(), key, seg.manifest.generation,
                    &out->emplace_back());
       ODH_RETURN_IF_ERROR(rows.Next());
@@ -1108,7 +1243,8 @@ Result<OdhStore::ReplicationSnapshot> OdhStore::SnapshotForReplication(
         ODH_RETURN_IF_ERROR(rows.SeekToFirst());
         SeriesRecord rec;
         while (rows.Valid()) {
-          ODH_RETURN_IF_ERROR(ParseSeries(table, rows.record(), &rec));
+          ODH_ASSIGN_OR_RETURN(Slice record, rows.record());
+          ODH_RETURN_IF_ERROR(ParseSeries(table, record, &rec));
           std::string payload;
           EncodeWalPayload(
               irts ? WalRecord::Kind::kIrts : WalRecord::Kind::kRts,

@@ -95,6 +95,28 @@ struct BlobRecord {
   /// reshuffle rids without a manifest-generation bump). {seg, generation,
   /// rid} is a stable identity for the blob cache.
   int64_t generation = 0;
+  /// Bytes of the stored blob a projected fetch left unread (0 when `blob`
+  /// is the stored blob itself).
+  int64_t bytes_skipped = 0;
+};
+
+/// What a series listing fetches of each RTS/IRTS record it returns.
+///
+/// A record that fits on a page is read with that page: its blob comes
+/// back whole. A record longer than a page (an overflow chain) is fetched
+/// by range: the head page's fixed fields and, of the blob, its header
+/// and column directory, then only the continuation pages holding the
+/// requested tag sections. Its BlobRecord::blob is then a valid blob of
+/// the same point count whose other sections have size 0 in its
+/// directory, so a decode of the requested tags reads it as it would the
+/// stored blob. The zone map, stored after the blob, is fetched only when
+/// asked for; otherwise BlobRecord::zone_map stays empty, which every
+/// reader takes as "no summary". A projected record is never written
+/// back: compaction, snapshots and replication read whole records.
+struct SeriesProjection {
+  /// Tags whose sections to fetch; empty = the whole blob.
+  std::vector<int> tags;
+  bool zone_map = true;
 };
 
 /// Per-scan segment-elimination counters, filled by the Get*/slice entry
@@ -170,7 +192,8 @@ struct SeriesDirectory {
 /// place), rebuilt from the WAL on recovery. RTS/IRTS rows are encoded and
 /// parsed as bytes in RowCodec's layout (core/series_record.h), never
 /// built as Rows: a read copies each kept blob once, from the page into
-/// its BlobRecord. A per-segment manifest keeps
+/// its BlobRecord, and a scan's listing fetches only what its
+/// SeriesProjection asks for. A per-segment manifest keeps
 /// the time bounds, tier, generation and per-structure stats; every scan
 /// consults the manifests first, so a recent-window query skips cold
 /// history with O(segments) metadata checks and zero page reads
@@ -264,11 +287,12 @@ class OdhStore {
     std::vector<BlobRecord> mg;
     uint64_t put_seq = 0;
   };
-  Result<HistoricalListing> ListHistorical(int schema_type, SourceId id,
-                                           bool rts, bool irts, bool mg,
-                                           int64_t mg_group, Timestamp lo,
-                                           Timestamp hi,
-                                           SegmentScanStats* stats = nullptr);
+  /// Series blobs are fetched as `projection` says (MG blobs whole).
+  Result<HistoricalListing> ListHistorical(
+      int schema_type, SourceId id, bool rts, bool irts, bool mg,
+      int64_t mg_group, Timestamp lo, Timestamp hi,
+      SegmentScanStats* stats = nullptr,
+      const SeriesProjection& projection = {});
 
   /// The catch-up half of that check: appends to *listing the blobs of the
   /// same source and structures, overlapping [lo, hi], whose put sequence
@@ -280,7 +304,8 @@ class OdhStore {
   Result<bool> CatchUpHistorical(int schema_type, SourceId id, bool rts,
                                  bool irts, bool mg, int64_t mg_group,
                                  Timestamp lo, Timestamp hi, uint64_t through,
-                                 HistoricalListing* listing);
+                                 HistoricalListing* listing,
+                                 const SeriesProjection& projection = {});
 
   /// Removes an MG blob (used by the reorganizer after conversion). `seg`
   /// is the BlobRecord::seg the blob was fetched with — rids are only
@@ -318,12 +343,15 @@ class OdhStore {
   /// segment-key then physical order, so concatenated results are
   /// begin_ts-ordered per source. If the current segment is compacted or
   /// dropped between chunks (generation mismatch), its remaining rows are
-  /// skipped rather than re-read from a different layout.
+  /// skipped rather than re-read from a different layout. Each row's
+  /// time bounds are checked from its head page; only rows that overlap
+  /// are fetched, as `projection` says.
   static constexpr int kSliceChunkRows = 8;
   Status NextSliceChunk(int schema_type, bool irts, Timestamp lo,
                         Timestamp hi, SliceCursor* cursor,
                         std::vector<BlobRecord>* out, bool* done,
-                        SegmentScanStats* stats = nullptr);
+                        SegmentScanStats* stats = nullptr,
+                        const SeriesProjection& projection = {});
 
   /// Keys of segments whose RTS (irts == false) or IRTS data bounds
   /// overlap [lo, hi], in key order — the fan-out list for a
@@ -581,10 +609,9 @@ class OdhStore {
 
   /// Listing bodies of GetRts/GetIrts/GetMg and ListHistorical; require
   /// mu_.
-  Result<std::vector<BlobRecord>> GetSeriesLocked(int schema_type, bool irts,
-                                                  SourceId id, Timestamp lo,
-                                                  Timestamp hi,
-                                                  SegmentScanStats* stats);
+  Result<std::vector<BlobRecord>> GetSeriesLocked(
+      int schema_type, bool irts, SourceId id, Timestamp lo, Timestamp hi,
+      SegmentScanStats* stats, const SeriesProjection& projection);
   Result<std::vector<BlobRecord>> GetMgLocked(int schema_type, int64_t group,
                                               Timestamp lo, Timestamp hi,
                                               SegmentScanStats* stats);
@@ -635,7 +662,8 @@ class OdhStore {
   Status ReleaseWalLocked();
 
   int mg_version_ = 0;  // Suffix for rebuilt MG container tables.
-  /// Encoding buffer of series puts (EncodeSeriesRecord); guarded by mu_.
+  /// Encoding buffer of series puts (EncodeSeriesRecord) and scratch of
+  /// projected fetches; guarded by mu_.
   std::string record_scratch_;
   uint64_t puts_ = 0;    // Put sequence; guarded by mu_.
 

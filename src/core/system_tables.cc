@@ -81,7 +81,8 @@ QueriesSystemTable::QueriesSystemTable(const sql::SqlEngine* engine)
                // working).
                {"mem_peak_bytes", DataType::kInt64},
                {"spill_runs", DataType::kInt64},
-               {"spill_bytes", DataType::kInt64}}) {}
+               {"spill_bytes", DataType::kInt64},
+               {"blob_bytes_skipped", DataType::kInt64}}) {}
 
 Result<std::unique_ptr<sql::RowCursor>> QueriesSystemTable::Scan(
     const sql::ScanSpec& spec) {
@@ -101,7 +102,8 @@ Result<std::unique_ptr<sql::RowCursor>> QueriesSystemTable::Scan(
                     Datum::Int64(p.blob_cache_hits),
                     Datum::Int64(p.mem_peak_bytes),
                     Datum::Int64(p.spill_runs),
-                    Datum::Int64(p.spill_bytes)});
+                    Datum::Int64(p.spill_bytes),
+                    Datum::Int64(p.blob_bytes_skipped)});
   }
   return MakeCursor(std::move(rows), spec);
 }

@@ -12,6 +12,39 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 }  // namespace
 
+Result<bool> ParseBlobDirectory(Slice prefix, size_t blob_size, bool irts,
+                                BlobDirectory* dir) {
+  // A parse that runs off the prefix of a longer blob asks for more; off
+  // the whole blob, it is corrupt.
+  const bool whole = prefix.size() >= blob_size;
+  auto short_of = [whole](const char* what) -> Result<bool> {
+    if (!whole) return false;
+    return Status::Corruption(what);
+  };
+  Slice in = prefix;
+  uint32_t n;
+  if (!GetVarint32(&in, &n)) return short_of("series header");
+  if (irts) {
+    // At least one timestamp byte per point.
+    if (n > blob_size) return Status::Corruption("irts point count");
+    if (!SkipVarints(&in, n)) return short_of("irts timestamps");
+  } else {
+    uint64_t interval;
+    if (!GetVarint64(&in, &interval)) return short_of("rts header");
+  }
+  dir->directory_offset = prefix.size() - in.size();
+  uint32_t stored_tags;
+  if (!GetVarint32(&in, &stored_tags)) return short_of("tag count");
+  // At least one directory byte per tag.
+  if (stored_tags > blob_size) return Status::Corruption("tag count");
+  dir->sizes.resize(stored_tags);
+  for (uint32_t& size : dir->sizes) {
+    if (!GetVarint32(&in, &size)) return short_of("tag section size");
+  }
+  dir->sections_offset = prefix.size() - in.size();
+  return true;
+}
+
 Status ValueBlobCodec::EncodeColumns(
     const std::vector<std::vector<double>>& columns, size_t n,
     std::string* out) const {
@@ -35,8 +68,8 @@ Status ValueBlobCodec::EncodeColumns(
 }
 
 Status ValueBlobCodec::DecodeColumns(
-    Slice input, size_t n, const std::vector<int>& wanted_tags, int num_tags,
-    std::vector<std::vector<double>>* columns) const {
+    Slice input, size_t n, size_t m, const std::vector<int>& wanted_tags,
+    int num_tags, std::vector<std::vector<double>>* columns) const {
   uint32_t stored_tags;
   if (!GetVarint32(&input, &stored_tags)) {
     return Status::Corruption("tag count");
@@ -67,7 +100,7 @@ Status ValueBlobCodec::DecodeColumns(
         return Status::Corruption("tag section out of range");
       }
       Slice section(input.data() + offset, sizes[t]);
-      ODH_RETURN_IF_ERROR(DecodeColumn(section, n, &(*columns)[t]));
+      ODH_RETURN_IF_ERROR(DecodeColumn(section, n, m, &(*columns)[t]));
     }
     offset += sizes[t];
   }
@@ -93,7 +126,8 @@ Status ValueBlobCodec::EncodeRts(const SeriesBatch& batch, Timestamp interval,
 Status ValueBlobCodec::DecodeRts(Slice blob, SourceId id, Timestamp begin,
                                  Timestamp interval,
                                  const std::vector<int>& wanted_tags,
-                                 int num_tags, SeriesBatch* batch) const {
+                                 int num_tags, SeriesBatch* batch,
+                                 Timestamp hi) const {
   uint32_t n;
   uint64_t stored_interval;
   if (!GetVarint32(&blob, &n) || !GetVarint64(&blob, &stored_interval)) {
@@ -108,14 +142,23 @@ Status ValueBlobCodec::DecodeRts(Slice blob, SourceId id, Timestamp begin,
       static_cast<Timestamp>(stored_interval) != interval) {
     return Status::Corruption("rts interval mismatch");
   }
+  // Points up to `hi`: point i lies at begin + i * interval. Unsigned: a
+  // corrupt interval wraps instead of overflowing.
+  uint32_t m = n;
+  if (hi < begin) {
+    m = 0;
+  } else if (stored_interval != 0) {
+    const uint64_t last = (static_cast<uint64_t>(hi) -
+                           static_cast<uint64_t>(begin)) / stored_interval;
+    if (last < n) m = static_cast<uint32_t>(last) + 1;
+  }
   batch->id = id;
-  batch->timestamps.resize(n);
-  // Unsigned: a corrupt interval wraps instead of overflowing.
-  for (uint32_t i = 0; i < n; ++i) {
+  batch->timestamps.resize(m);
+  for (uint32_t i = 0; i < m; ++i) {
     batch->timestamps[i] = static_cast<Timestamp>(
         static_cast<uint64_t>(begin) + uint64_t{i} * stored_interval);
   }
-  return DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns);
+  return DecodeColumns(blob, n, m, wanted_tags, num_tags, &batch->columns);
 }
 
 Status ValueBlobCodec::EncodeIrts(const SeriesBatch& batch,
@@ -134,14 +177,17 @@ Status ValueBlobCodec::EncodeIrts(const SeriesBatch& batch,
 
 Status ValueBlobCodec::DecodeIrts(Slice blob, SourceId id, Timestamp begin,
                                   const std::vector<int>& wanted_tags,
-                                  int num_tags, SeriesBatch* batch) const {
+                                  int num_tags, SeriesBatch* batch,
+                                  Timestamp hi) const {
   uint32_t n;
   if (!GetVarint32(&blob, &n)) return Status::Corruption("irts header");
   // At least one timestamp byte per point.
   if (n > blob.size()) return Status::Corruption("irts point count");
   batch->id = id;
-  ODH_RETURN_IF_ERROR(DecodeTimestamps(&blob, n, begin, &batch->timestamps));
-  return DecodeColumns(blob, n, wanted_tags, num_tags, &batch->columns);
+  ODH_RETURN_IF_ERROR(
+      DecodeTimestampsUpTo(&blob, n, begin, hi, &batch->timestamps));
+  return DecodeColumns(blob, n, batch->timestamps.size(), wanted_tags,
+                       num_tags, &batch->columns);
 }
 
 Status ValueBlobCodec::EncodeMg(const std::vector<OperationalRecord>& records,
@@ -193,7 +239,7 @@ Status ValueBlobCodec::DecodeMg(Slice blob, Timestamp begin,
   ODH_RETURN_IF_ERROR(DecodeTimestamps(&blob, n, begin, &ts));
   std::vector<std::vector<double>> columns;
   ODH_RETURN_IF_ERROR(
-      DecodeColumns(blob, n, wanted_tags, num_tags, &columns));
+      DecodeColumns(blob, n, n, wanted_tags, num_tags, &columns));
   for (uint32_t i = 0; i < n; ++i) {
     (*records)[i].ts = ts[i];
     (*records)[i].tags.assign(num_tags, kNaN);

@@ -31,6 +31,25 @@ struct SeriesBatch {
   size_t num_points() const { return timestamps.size(); }
 };
 
+/// Where the parts of an RTS or IRTS blob lie ahead of its tag sections:
+/// its header (point count, then the interval or the timestamps) ends at
+/// `directory_offset`, the column directory follows, and the first tag
+/// section starts at `sections_offset`; `sizes` holds each stored tag's
+/// section size in tag order.
+struct BlobDirectory {
+  size_t directory_offset = 0;
+  size_t sections_offset = 0;
+  std::vector<uint32_t> sizes;
+};
+
+/// Parses the directory of a series blob of `blob_size` bytes from
+/// `prefix`, its first bytes. True once parsed; false when `prefix` ends
+/// before the directory does and is shorter than the blob (read more and
+/// retry); Corruption when the blob cannot hold it. IRTS timestamps are
+/// skipped, not decoded.
+Result<bool> ParseBlobDirectory(Slice prefix, size_t blob_size, bool irts,
+                                BlobDirectory* dir);
+
 /// Encoders/decoders for the three batch structures of the ODH data model
 /// (paper §2, Figure 1). Every blob stores values tag-major behind a
 /// per-tag offset directory, so a query touching one tag out of hundreds
@@ -49,17 +68,22 @@ class ValueBlobCodec {
 
   /// RTS: timestamps must be begin + i*interval exactly (the writer
   /// verifies regularity before choosing RTS).
+  ///
+  /// Series decodes stop at `hi`: the batch holds the points up to the
+  /// first one past it, every wanted column cut to the same length (the
+  /// first values of a full decode). The default decodes the whole blob.
   Status EncodeRts(const SeriesBatch& batch, Timestamp interval,
                    std::string* out) const;
   Status DecodeRts(Slice blob, SourceId id, Timestamp begin,
                    Timestamp interval, const std::vector<int>& wanted_tags,
-                   int num_tags, SeriesBatch* batch) const;
+                   int num_tags, SeriesBatch* batch,
+                   Timestamp hi = kMaxTimestamp) const;
 
   /// IRTS: arbitrary increasing timestamps.
   Status EncodeIrts(const SeriesBatch& batch, std::string* out) const;
   Status DecodeIrts(Slice blob, SourceId id, Timestamp begin,
                     const std::vector<int>& wanted_tags, int num_tags,
-                    SeriesBatch* batch) const;
+                    SeriesBatch* batch, Timestamp hi = kMaxTimestamp) const;
 
   /// MG: records from many sources in one time window. Records must be
   /// sorted by (ts, id).
@@ -73,9 +97,11 @@ class ValueBlobCodec {
 
  private:
   /// Shared tag-column section: directory of offsets + encoded columns.
+  /// A decode fills the wanted columns with the first `m` of their `n`
+  /// values.
   Status EncodeColumns(const std::vector<std::vector<double>>& columns,
                        size_t n, std::string* out) const;
-  Status DecodeColumns(Slice input, size_t n,
+  Status DecodeColumns(Slice input, size_t n, size_t m,
                        const std::vector<int>& wanted_tags, int num_tags,
                        std::vector<std::vector<double>>* columns) const;
 

@@ -148,52 +148,92 @@ Status HeapFile::PinPage(storage::PageNo no, RecordBuffer* buf) {
   return Status::OK();
 }
 
-Status HeapFile::AssembleOverflow(storage::PageNo no, RecordBuffer* buf) {
-  const size_t page_size = pool_->usable_page_size();
+Status HeapFile::ViewRecord(uint32_t slot, RecordBuffer* buf) {
   const char* p = buf->page_.data();
-  const uint32_t total = DecodeFixed32(p + 4);
-  if (total == 0) return Status::NotFound("deleted overflow record");
-  std::string& out = buf->assembled_;
-  out.clear();
-  out.reserve(total);
-  out.append(p + kOverflowFirstHeader,
-             std::min<size_t>(total, page_size - kOverflowFirstHeader));
-  storage::PageNo next = no + 1;
-  while (out.size() < total) {
-    ODH_ASSIGN_OR_RETURN(storage::PageRef cont,
-                         pool_->FetchPage(file_, next));
-    const char* cp = cont.data();
-    if (cp[0] != kOverflowCont) {
-      return Status::Corruption("broken overflow chain");
-    }
-    out.append(cp + kOverflowContHeader,
-               std::min<size_t>(total - out.size(),
-                                page_size - kOverflowContHeader));
-    ++next;
-  }
-  buf->assembled_view_ = true;
-  return Status::OK();
-}
-
-Status HeapFile::Read(const Rid& rid, RecordBuffer* out) {
-  out->view_ = Slice();
-  out->assembled_view_ = false;
-  ODH_RETURN_IF_ERROR(PinPage(rid.page, out));
-  const char* p = out->page_.data();
-  if (rid.slot == kOverflowSlot) {
+  if (slot == kOverflowSlot) {
     if (p[0] != kOverflowFirst) return Status::NotFound("not overflow head");
-    return AssembleOverflow(rid.page, out);
+    const uint32_t total = DecodeFixed32(p + 4);
+    if (total == 0) return Status::NotFound("deleted overflow record");
+    buf->view_ = Slice(p + kOverflowFirstHeader,
+                       std::min<size_t>(total, pool_->usable_page_size() -
+                                                   kOverflowFirstHeader));
+    buf->size_ = total;
+    return Status::OK();
   }
   if (p[0] != kSlottedPage) return Status::NotFound("not a slotted page");
   uint16_t slot_count = ReadU16(p + 2);
-  if (rid.slot >= slot_count) return Status::NotFound("bad slot");
-  const char* slot =
-      p + pool_->usable_page_size() - kSlotBytes * (rid.slot + 1);
-  uint16_t offset = ReadU16(slot);
-  uint16_t len = ReadU16(slot + 2);
+  if (slot >= slot_count) return Status::NotFound("bad slot");
+  const char* entry = p + pool_->usable_page_size() - kSlotBytes * (slot + 1);
+  uint16_t offset = ReadU16(entry);
+  uint16_t len = ReadU16(entry + 2);
   if (offset == kDeletedOffset) return Status::NotFound("deleted record");
-  out->view_ = Slice(p + offset, len);
+  buf->view_ = Slice(p + offset, len);
+  buf->size_ = len;
   return Status::OK();
+}
+
+uint32_t HeapFile::ChainPages(size_t size) const {
+  const size_t first = pool_->usable_page_size() - kOverflowFirstHeader;
+  const size_t cont = pool_->usable_page_size() - kOverflowContHeader;
+  return 1 + static_cast<uint32_t>(size > first
+                                       ? (size - first + cont - 1) / cont
+                                       : 0);
+}
+
+Status HeapFile::ReadRange(const RecordBuffer& head, uint64_t offset,
+                           size_t len, std::string* out) {
+  if (offset > head.size_ || len > head.size_ - offset) {
+    return Status::OutOfRange("range past the record");
+  }
+  const Slice on_hand = head.view_;
+  if (offset < on_hand.size()) {
+    const size_t n = std::min<size_t>(len, on_hand.size() - offset);
+    out->append(on_hand.data() + offset, n);
+    offset += n;
+    len -= n;
+  }
+  // Past the bytes on hand the record is an unassembled chain: byte
+  // `first + k * cont + i` lies at offset i of continuation page k + 1.
+  const size_t first = pool_->usable_page_size() - kOverflowFirstHeader;
+  const size_t cont = pool_->usable_page_size() - kOverflowContHeader;
+  while (len > 0) {
+    const uint64_t k = (offset - first) / cont;
+    const size_t in_page = static_cast<size_t>((offset - first) % cont);
+    ODH_ASSIGN_OR_RETURN(
+        storage::PageRef page,
+        pool_->FetchPage(file_, head.page_.page_no() +
+                                    static_cast<storage::PageNo>(k + 1)));
+    const char* cp = page.data();
+    if (cp[0] != kOverflowCont) {
+      return Status::Corruption("broken overflow chain");
+    }
+    const size_t n = std::min(len, cont - in_page);
+    out->append(cp + kOverflowContHeader + in_page, n);
+    offset += n;
+    len -= n;
+  }
+  return Status::OK();
+}
+
+Status HeapFile::Assemble(RecordBuffer* buf) {
+  std::string& out = buf->assembled_;
+  out.clear();
+  out.reserve(buf->size_);
+  ODH_RETURN_IF_ERROR(ReadRange(*buf, 0, buf->size_, &out));
+  buf->view_ = Slice(out);
+  return Status::OK();
+}
+
+Status HeapFile::ReadHead(const Rid& rid, RecordBuffer* out) {
+  out->view_ = Slice();
+  out->size_ = 0;
+  ODH_RETURN_IF_ERROR(PinPage(rid.page, out));
+  return ViewRecord(rid.slot, out);
+}
+
+Status HeapFile::Read(const Rid& rid, RecordBuffer* out) {
+  ODH_RETURN_IF_ERROR(ReadHead(rid, out));
+  return out->complete() ? Status::OK() : Assemble(out);
 }
 
 Result<std::string> HeapFile::Get(const Rid& rid) {
@@ -239,8 +279,8 @@ Status HeapFile::Iterator::SeekToFirst() {
 Status HeapFile::Iterator::SeekAfter(const Rid& rid) {
   page_ = rid.page;
   // An overflow head is the only record on its page chain; resuming with
-  // slot 1 makes FindNext skip it and move past the chain. Slotted pages
-  // resume at the next slot.
+  // slot 1 makes FindNext step over the chain. Slotted pages resume at the
+  // next slot.
   slot_ = rid.slot == kOverflowSlot ? 1 : rid.slot + 1;
   valid_ = false;
   return FindNext();
@@ -248,15 +288,30 @@ Status HeapFile::Iterator::SeekAfter(const Rid& rid) {
 
 Status HeapFile::Iterator::Next() {
   if (!valid_) return Status::FailedPrecondition("iterator not valid");
-  ++slot_;
+  if (rid_.slot != kOverflowSlot) {
+    ++slot_;
+  } else if (record_.complete()) {
+    // Assembled: walk the chain's pages (pool hits), skipped by type.
+    page_ = rid_.page + 1;
+    slot_ = 0;
+  } else {
+    page_ = rid_.page + file_->ChainPages(record_.size());
+    slot_ = 0;
+  }
   valid_ = false;
   return FindNext();
+}
+
+Result<Slice> HeapFile::Iterator::record() {
+  if (!valid_) return Status::FailedPrecondition("iterator not valid");
+  if (!record_.complete()) ODH_RETURN_IF_ERROR(file_->Assemble(&record_));
+  return record_.data();
 }
 
 Status HeapFile::Iterator::FindNext() {
   const size_t page_size = file_->pool_->usable_page_size();
   record_.view_ = Slice();
-  record_.assembled_view_ = false;
+  record_.size_ = 0;
   while (true) {
     if (page_ >= known_pages_) {
       ODH_ASSIGN_OR_RETURN(known_pages_,
@@ -273,23 +328,27 @@ Status HeapFile::Iterator::FindNext() {
         uint16_t len = ReadU16(slot + 2);
         if (offset != kDeletedOffset) {
           record_.view_ = Slice(p + offset, len);
+          record_.size_ = len;
           rid_ = Rid{page_, slot_};
           valid_ = true;
           return Status::OK();
         }
         ++slot_;
       }
-    } else if (p[0] == kOverflowFirst && slot_ == 0 &&
-               DecodeFixed32(p + 4) != 0) {
-      ODH_RETURN_IF_ERROR(file_->AssembleOverflow(page_, &record_));
-      rid_ = Rid{page_, kOverflowSlot};
-      valid_ = true;
-      // Arrange to resume after this overflow chain.
-      slot_ = 1;
-      return Status::OK();
+    } else if (p[0] == kOverflowFirst && DecodeFixed32(p + 4) != 0) {
+      if (slot_ == 0) {
+        ODH_RETURN_IF_ERROR(file_->ViewRecord(kOverflowSlot, &record_));
+        rid_ = Rid{page_, kOverflowSlot};
+        valid_ = true;
+        return Status::OK();
+      }
+      // Resuming after this chain (SeekAfter): step over its pages.
+      page_ += file_->ChainPages(DecodeFixed32(p + 4));
+      slot_ = 0;
+      continue;
     }
-    // Move to the next page (overflow continuation pages are skipped by
-    // their type byte; an overflow head we already yielded resumes here).
+    // Move to the next page (continuation pages, and those of a deleted
+    // chain, are skipped by their type byte).
     ++page_;
     slot_ = 0;
   }

@@ -43,20 +43,28 @@ class HeapFile {
 
   class Iterator;
 
-  /// Keeps one fetched record readable without copying it off its page:
-  /// a record on a slotted page is viewed in place while the buffer pins
-  /// that page; an overflow chain is assembled into the buffer's own
-  /// string. Reusing one buffer across reads keeps that string's capacity;
-  /// each read unpins the previous page before it fetches.
+  /// Keeps one fetched record readable without copying it off its page.
+  /// A record on a slotted page is viewed in place while the buffer pins
+  /// that page. Of an overflow chain, a head read (ReadHead, or an
+  /// iterator positioned on it) views the bytes on the pinned head page
+  /// and fetches nothing else; the rest is read by range (ReadRange) or
+  /// assembled whole into the buffer's own string (Read). Reusing one
+  /// buffer across reads keeps that string's capacity; each read unpins
+  /// the previous page before it fetches.
   class RecordBuffer {
    public:
-    /// The record read last; valid until the next read or destruction.
-    Slice data() const { return assembled_view_ ? Slice(assembled_) : view_; }
+    /// The bytes of the record read last that are on hand: the whole
+    /// record once complete(), otherwise the head of its overflow chain.
+    /// Valid until the next read or destruction.
+    Slice data() const { return view_; }
+    /// Length of the whole record.
+    size_t size() const { return size_; }
+    bool complete() const { return view_.size() == size_; }
     /// Unpins the page (the view becomes invalid).
     void Release() {
       page_.Release();
       view_ = Slice();
-      assembled_view_ = false;
+      size_ = 0;
     }
 
    private:
@@ -64,13 +72,29 @@ class HeapFile {
     friend class HeapFile::Iterator;
     storage::PageRef page_;
     std::string assembled_;
-    Slice view_;  // Into the pinned page, unless assembled_view_.
-    bool assembled_view_ = false;
+    Slice view_;  // Into the pinned page, or into assembled_.
+    size_t size_ = 0;
   };
 
-  /// Reads the record at `rid` into *out. NotFound for deleted/invalid
-  /// Rids.
+  /// Reads the whole record at `rid` into *out. NotFound for
+  /// deleted/invalid Rids.
   Status Read(const Rid& rid, RecordBuffer* out);
+
+  /// Reads the head of the record at `rid` into *out: the whole record
+  /// when it fits on a page, the bytes on the head page of an overflow
+  /// chain otherwise (one page fetch either way). NotFound for
+  /// deleted/invalid Rids.
+  Status ReadHead(const Rid& rid, RecordBuffer* out);
+
+  /// Appends bytes [offset, offset + len) of the record whose head `head`
+  /// holds to *out. Bytes on hand are copied from the buffer; the others
+  /// come from the chain's continuation pages, which follow its head
+  /// page, so a byte range maps to pages by arithmetic and only the pages
+  /// it covers are fetched (each checked by the pool's CRC on a disk
+  /// read). OutOfRange for a range past the record; Corruption for a page
+  /// that is not a continuation page.
+  Status ReadRange(const RecordBuffer& head, uint64_t offset, size_t len,
+                   std::string* out);
 
   /// Fetches a copy of a record by Rid. NotFound for deleted/invalid Rids.
   Result<std::string> Get(const Rid& rid);
@@ -89,9 +113,11 @@ class HeapFile {
   /// Sequential scan over live records in physical order. The iterator
   /// keeps the page of its current record pinned until it moves to another
   /// page, is exhausted or is destroyed, so a page of small records costs
-  /// one fetch. Records appended while it is open are seen when it reaches
-  /// them: the page count is re-read from the disk only once the iterator
-  /// passes the last page it knows of.
+  /// one fetch. An overflow chain is yielded as its head, unassembled:
+  /// record() assembles it, ReadRange reads parts of it. Records appended
+  /// while it is open are seen when it reaches them: the page count is
+  /// re-read from the disk only once the iterator passes the last page it
+  /// knows of.
   class Iterator {
    public:
     /// Positions on the first record; check Valid() afterwards.
@@ -101,11 +127,18 @@ class HeapFile {
     /// insert-only tables). Check Valid() afterwards.
     Status SeekAfter(const Rid& rid);
     bool Valid() const { return valid_; }
+    /// Moves to the next record. Past a chain that record() assembled it
+    /// walks the chain's (cached) pages as a whole-record scan always has,
+    /// which keeps the pool's eviction order of such scans; past one it
+    /// did not, it steps over the chain by arithmetic, so pages nobody
+    /// asked for stay unread.
     Status Next();
-    /// The current record, in place on the pinned page (or, for an
-    /// overflow chain, in the iterator's buffer); valid until the next
-    /// Seek*/Next.
-    Slice record() const { return record_.data(); }
+    /// The whole current record: in place on the pinned page, or an
+    /// overflow chain assembled into the iterator's buffer on the first
+    /// call. Valid until the next Seek*/Next.
+    Result<Slice> record();
+    /// The current record's head (see HeapFile::ReadHead), for ReadRange.
+    const RecordBuffer& buffer() const { return record_; }
     Rid rid() const { return rid_; }
 
    private:
@@ -137,10 +170,16 @@ class HeapFile {
   /// Pins page `no` in *buf, unpinning the page it held first (unless it
   /// is the same page).
   Status PinPage(storage::PageNo no, RecordBuffer* buf);
-  /// Assembles the overflow chain whose head is page `no`, pinned in *buf,
-  /// into buf->assembled_ and makes it the buffer's record. NotFound for a
-  /// deleted chain.
-  Status AssembleOverflow(storage::PageNo no, RecordBuffer* buf);
+  /// Points *buf at the record in `slot` of its pinned page (kOverflowSlot:
+  /// the overflow chain headed there). NotFound for a page of another
+  /// kind, a bad slot or a deleted record.
+  Status ViewRecord(uint32_t slot, RecordBuffer* buf);
+  /// Assembles the overflow chain whose head *buf holds into
+  /// buf->assembled_, which becomes the buffer's whole record.
+  Status Assemble(RecordBuffer* buf);
+  /// Pages an overflow chain of a `size`-byte record occupies, head
+  /// included.
+  uint32_t ChainPages(size_t size) const;
 
   storage::BufferPool* pool_;
   storage::FileId file_;

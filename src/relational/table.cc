@@ -40,8 +40,9 @@ Status Table::AddIndex(const IndexDef& def) {
   auto it = heap_->NewIterator();
   ODH_RETURN_IF_ERROR(it.SeekToFirst());
   while (it.Valid()) {
+    ODH_ASSIGN_OR_RETURN(Slice record, it.record());
     Row row;
-    ODH_RETURN_IF_ERROR(codec_.Decode(it.record(), &row));
+    ODH_RETURN_IF_ERROR(codec_.Decode(record, &row));
     std::string key;
     KeyEncoder enc(&key);
     for (int col : def.columns) enc.AddDatum(row[col]);
@@ -142,11 +143,6 @@ Result<Row> Table::Get(const Rid& rid) {
   return row;
 }
 
-Result<Slice> Table::GetRecord(const Rid& rid, HeapFile::RecordBuffer* buf) {
-  ODH_RETURN_IF_ERROR(heap_->Read(rid, buf));
-  return buf->data();
-}
-
 Result<Row> Table::GetColumns(const Rid& rid,
                               const std::vector<int>& columns) {
   HeapFile::RecordBuffer buf;
@@ -165,9 +161,10 @@ Status Table::Delete(const Rid& rid) {
   return heap_->Delete(rid);
 }
 
-Result<Row> Table::Iterator::row() const {
+Result<Row> Table::Iterator::row() {
+  ODH_ASSIGN_OR_RETURN(Slice record, it_.record());
   Row row;
-  ODH_RETURN_IF_ERROR(table_->codec_.Decode(it_.record(), &row));
+  ODH_RETURN_IF_ERROR(table_->codec_.Decode(record, &row));
   return row;
 }
 

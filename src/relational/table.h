@@ -83,10 +83,18 @@ class Table {
   /// Fetches the row stored at `rid`.
   Result<Row> Get(const Rid& rid);
 
-  /// The encoded bytes of the row at `rid`, viewed through *buf (see
-  /// HeapFile::RecordBuffer): no copy and no Row for a record that fits
-  /// on a page.
-  Result<Slice> GetRecord(const Rid& rid, HeapFile::RecordBuffer* buf);
+  /// The head of the row at `rid`'s encoded bytes, viewed through *buf
+  /// (see HeapFile::ReadHead): the whole row, with no copy and no Row, for
+  /// a record that fits on a page.
+  Status ReadHead(const Rid& rid, HeapFile::RecordBuffer* buf) {
+    return heap_->ReadHead(rid, buf);
+  }
+  /// Appends bytes [offset, offset + len) of the row whose head `head`
+  /// holds to *out (see HeapFile::ReadRange).
+  Status ReadRange(const HeapFile::RecordBuffer& head, uint64_t offset,
+                   size_t len, std::string* out) {
+    return heap_->ReadRange(head, offset, len, out);
+  }
 
   /// Fetches only `columns` (ascending positions) of the row at `rid`.
   Result<Row> GetColumns(const Rid& rid, const std::vector<int>& columns);
@@ -102,9 +110,11 @@ class Table {
     Status SeekAfter(const Rid& rid) { return it_.SeekAfter(rid); }
     bool Valid() const { return it_.Valid(); }
     Status Next() { return it_.Next(); }
-    Result<Row> row() const;
+    Result<Row> row();
     /// The current row's encoded bytes (valid until the next Seek*/Next).
-    Slice record() const { return it_.record(); }
+    Result<Slice> record() { return it_.record(); }
+    /// The current row's head, for ReadRange (see HeapFile::Iterator).
+    const HeapFile::RecordBuffer& buffer() const { return it_.buffer(); }
     Rid rid() const { return it_.rid(); }
 
    private:

@@ -49,7 +49,11 @@ struct QueryProfile {
   int64_t blobs_decoded = 0;
   int64_t blobs_pruned = 0;
   int64_t blobs_skipped_by_summary = 0;
+  /// Bytes of the decoded blobs fetched from their pages (only the
+  /// requested sections of a blob longer than a page), and bytes of those
+  /// blobs the projected fetch left unread.
   int64_t blob_bytes_read = 0;
+  int64_t blob_bytes_skipped = 0;
   /// Whole segments eliminated by manifest time bounds before any blob of
   /// theirs was examined (disjoint from the blob counters above: a pruned
   /// segment's blobs appear in none of them).

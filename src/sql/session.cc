@@ -200,6 +200,7 @@ QueryResult ProfileToResult(QueryResult inner) {
   add("blobs_pruned", Datum::Int64(p.blobs_pruned));
   add("blobs_skipped_by_summary", Datum::Int64(p.blobs_skipped_by_summary));
   add("blob_bytes_read", Datum::Int64(p.blob_bytes_read));
+  add("blob_bytes_skipped", Datum::Int64(p.blob_bytes_skipped));
   add("segments_pruned", Datum::Int64(p.segments_pruned));
   add("segments_scanned_parallel", Datum::Int64(p.segments_scanned_parallel));
   add("blob_cache_hits", Datum::Int64(p.blob_cache_hits));
@@ -209,7 +210,7 @@ QueryResult ProfileToResult(QueryResult inner) {
   add("plan_micros", Datum::Double(p.plan_micros));
   add("total_micros", Datum::Double(p.total_micros));
   // Replica-only rows: a primary's profile carries the -1 sentinel and
-  // keeps the historical 16-row shape.
+  // keeps the 17-row shape.
   if (p.repl_lag_bytes >= 0) {
     add("repl_lag_bytes", Datum::Int64(p.repl_lag_bytes));
     add("repl_staleness_micros", Datum::Int64(p.repl_staleness_micros));
@@ -566,6 +567,8 @@ void QueryStream::Finish() {
       counters_.blobs_skipped_by_summary.load(std::memory_order_relaxed);
   profile_.blob_bytes_read =
       counters_.blob_bytes_read.load(std::memory_order_relaxed);
+  profile_.blob_bytes_skipped =
+      counters_.blob_bytes_skipped.load(std::memory_order_relaxed);
   profile_.segments_pruned =
       counters_.segments_pruned.load(std::memory_order_relaxed);
   profile_.segments_scanned_parallel =

@@ -197,7 +197,7 @@ Result<int32_t> BufferPool::GetVictimFrameLocked(Shard& shard) {
     f.in_lru = true;
     return written;
   }
-  shard.page_table.erase({f.file, f.page});
+  shard.page_table.erase(PageKey(f.file, f.page));
   f.in_use = false;
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return victim;
@@ -206,7 +206,7 @@ Result<int32_t> BufferPool::GetVictimFrameLocked(Shard& shard) {
 Result<PageRef> BufferPool::FetchPage(FileId file, PageNo page) {
   Shard& shard = *shards_[ShardOf(file, page)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.page_table.find({file, page});
+  auto it = shard.page_table.find(PageKey(file, page));
   if (it != shard.page_table.end()) {
     hits_.fetch_add(1, std::memory_order_relaxed);
     PinLocked(shard, it->second);
@@ -245,7 +245,7 @@ Result<PageRef> BufferPool::FetchPage(FileId file, PageNo page) {
   f.dirty = false;
   f.pins.store(0, std::memory_order_relaxed);
   f.in_lru = false;
-  shard.page_table[{file, page}] = frame;
+  shard.page_table[PageKey(file, page)] = frame;
   PinLocked(shard, frame);
   return PageRef(this, frame);
 }
@@ -265,7 +265,7 @@ Result<PageRef> BufferPool::NewPage(FileId file, PageNo* page_no) {
   f.dirty = true;
   f.pins.store(0, std::memory_order_relaxed);
   f.in_lru = false;
-  shard.page_table[{file, page}] = frame;
+  shard.page_table[PageKey(file, page)] = frame;
   PinLocked(shard, frame);
   return PageRef(this, frame);
 }
@@ -283,7 +283,7 @@ Status BufferPool::InvalidateFile(FileId file) {
       shard.lru.erase(f.lru_pos);
       f.in_lru = false;
     }
-    shard.page_table.erase({f.file, f.page});
+    shard.page_table.erase(PageKey(f.file, f.page));
     f.in_use = false;
     f.dirty = false;
     shard.free_frames.push_back(static_cast<int32_t>(i));
@@ -304,7 +304,7 @@ void BufferPool::DropCleanPages() {
       shard.lru.erase(f.lru_pos);
       f.in_lru = false;
     }
-    shard.page_table.erase({f.file, f.page});
+    shard.page_table.erase(PageKey(f.file, f.page));
     f.in_use = false;
     shard.free_frames.push_back(static_cast<int32_t>(i));
   }

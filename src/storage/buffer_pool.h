@@ -4,9 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -151,17 +151,22 @@ class BufferPool {
   };
 
   /// One latch shard: a partition of the page table plus the LRU and free
-  /// lists of the frames this shard owns.
+  /// lists of the frames this shard owns. The page table is hashed on
+  /// PageKey: it is only ever looked up, never walked in order (file-wide
+  /// passes walk the frames).
   struct Shard {
     mutable std::mutex mu;
-    std::map<std::pair<FileId, PageNo>, int32_t> page_table;
+    std::unordered_map<uint64_t, int32_t> page_table;
     std::list<int32_t> lru;  // Front = most recent; only unpinned frames.
     std::vector<int32_t> free_frames;
   };
 
+  static uint64_t PageKey(FileId file, PageNo page) {
+    return (static_cast<uint64_t>(file) << 32) | page;
+  }
   size_t ShardOf(FileId file, PageNo page) const {
     if (shards_.size() == 1) return 0;
-    uint64_t h = (static_cast<uint64_t>(file) << 32) | page;
+    uint64_t h = PageKey(file, page);
     h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
     h ^= h >> 27;
     return static_cast<size_t>(h % shards_.size());

@@ -9,12 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "core/bits.h"
 #include "core/compression.h"
@@ -358,6 +361,29 @@ TEST(CodecGoldenTest, BlobBytesAreUnchanged) {
 void DecodeAll(const ValueBlobCodec& codec, Slice blob, int kind) {
   SeriesBatch batch;
   std::vector<OperationalRecord> records;
+  if (kind != 2) {
+    // The projected fetch's directory parse, over the blob whole and as
+    // the prefix of a longer one, and decodes bounded mid-blob.
+    const bool irts = kind == 1;
+    BlobDirectory dir;
+    for (size_t blob_size : {blob.size(), blob.size() + 64}) {
+      Result<bool> parsed = ParseBlobDirectory(blob, blob_size, irts, &dir);
+      if (parsed.ok() && *parsed) {
+        EXPECT_LE(dir.directory_offset, dir.sections_offset);
+        EXPECT_LE(dir.sections_offset, blob.size());
+      }
+    }
+    for (Timestamp hi : {Timestamp{0}, Timestamp{1'100'000}}) {
+      Status s = irts ? codec.DecodeIrts(blob, 42, 1'000'000, {0, 2}, 3,
+                                         &batch, hi)
+                      : codec.DecodeRts(blob, 42, 1'000'000, 0, {0, 2}, 3,
+                                        &batch, hi);
+      if (s.ok()) {
+        EXPECT_EQ(batch.columns[0].size(), batch.timestamps.size());
+        EXPECT_EQ(batch.columns[2].size(), batch.timestamps.size());
+      }
+    }
+  }
   switch (kind) {
     case 0: {
       Status s = codec.DecodeRts(blob, 42, 1'000'000, 0, {}, 3, &batch);
@@ -450,6 +476,128 @@ TEST(CodecMutationTest, ColumnMutantsReturnStatus) {
         EXPECT_EQ(out.size(), v.size());
       }
     }
+  }
+}
+
+// --- Bounded decodes ------------------------------------------------------
+
+/// Bitwise equality of two value runs (NaN gaps included).
+bool SameBits(const double* a, const double* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+TEST(BoundedDecodeTest, ColumnPrefixEqualsFullDecodeAtEveryLength) {
+  for (ValueCodec codec : {ValueCodec::kRaw, ValueCodec::kXor,
+                           ValueCodec::kLinear, ValueCodec::kQuantized}) {
+    for (bool sparse : {false, true}) {
+      for (size_t n : {size_t{0}, size_t{1}, size_t{9}, size_t{37},
+                       size_t{64}}) {
+        std::vector<double> v;
+        for (size_t i = 0; i < n; ++i) {
+          v.push_back(sparse && i % 3 == 1
+                          ? kNaN
+                          : std::sin(static_cast<double>(i) * 0.2) * 10 +
+                                static_cast<double>(i % 4));
+        }
+        std::string col;
+        ASSERT_TRUE(
+            EncodeColumn(v.data(), n, Forced(codec, 0.05), &col).ok());
+        std::vector<double> full;
+        ASSERT_TRUE(DecodeColumn(Slice(col), n, &full).ok());
+        ASSERT_EQ(full.size(), n);
+        for (size_t k = 0; k <= n; ++k) {
+          std::vector<double> prefix = {1, 2, 3};  // Reused, not appended.
+          ASSERT_TRUE(DecodeColumn(Slice(col), n, k, &prefix).ok())
+              << static_cast<int>(codec) << " n " << n << " k " << k;
+          ASSERT_EQ(prefix.size(), k);
+          EXPECT_TRUE(SameBits(prefix.data(), full.data(), k))
+              << static_cast<int>(codec) << " sparse " << sparse << " n "
+              << n << " k " << k;
+        }
+        std::vector<double> out;
+        EXPECT_TRUE(DecodeColumn(Slice(col), n, n + 1, &out)
+                        .IsInvalidArgument());
+      }
+    }
+  }
+}
+
+TEST(BoundedDecodeTest, SeriesDecodesStopAtHi) {
+  for (double max_error : {0.0, 0.05}) {
+    const ValueBlobCodec codec(Spec(max_error));
+    for (bool irts : {false, true}) {
+      const SeriesBatch batch = GoldenSeries(50, 11, /*jitter=*/irts);
+      const size_t n = batch.num_points();
+      std::string blob;
+      ASSERT_TRUE((irts ? codec.EncodeIrts(batch, &blob)
+                        : codec.EncodeRts(batch, 10'000, &blob))
+                      .ok());
+      auto decode = [&](const std::vector<int>& tags, Timestamp hi,
+                        SeriesBatch* out) {
+        return irts ? codec.DecodeIrts(Slice(blob), 42, batch.timestamps[0],
+                                       tags, 3, out, hi)
+                    : codec.DecodeRts(Slice(blob), 42, batch.timestamps[0],
+                                      10'000, tags, 3, out, hi);
+      };
+      for (const std::vector<int>& tags :
+           {std::vector<int>{}, std::vector<int>{1}, std::vector<int>{0, 2}}) {
+        SeriesBatch full;
+        ASSERT_TRUE(decode(tags, kMaxTimestamp, &full).ok());
+        ASSERT_EQ(full.num_points(), n);
+        for (size_t k = 0; k <= n; ++k) {
+          // On the k-th point's timestamp (before the first for k = 0)
+          // and just past it.
+          const Timestamp at =
+              k == 0 ? batch.timestamps[0] - 1 : batch.timestamps[k - 1];
+          for (Timestamp hi : {at, k == 0 ? at : at + 1}) {
+            SeriesBatch got;
+            ASSERT_TRUE(decode(tags, hi, &got).ok());
+            ASSERT_EQ(got.num_points(), k) << "irts " << irts << " k " << k;
+            EXPECT_TRUE(std::equal(got.timestamps.begin(),
+                                   got.timestamps.end(),
+                                   full.timestamps.begin()));
+            ASSERT_EQ(got.columns.size(), full.columns.size());
+            for (size_t t = 0; t < full.columns.size(); ++t) {
+              if (full.columns[t].empty()) {
+                EXPECT_TRUE(got.columns[t].empty());
+                continue;
+              }
+              ASSERT_EQ(got.columns[t].size(), k);
+              EXPECT_TRUE(
+                  SameBits(got.columns[t].data(), full.columns[t].data(), k))
+                  << "irts " << irts << " tag " << t << " k " << k;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BoundedDecodeTest, SkipVarintsMatchesDecoding) {
+  Random rng(31);
+  for (int round = 0; round < 200; ++round) {
+    std::string bytes;
+    const size_t count = rng.Uniform(40);
+    for (size_t i = 0; i < count; ++i) {
+      const int width = static_cast<int>(rng.Uniform(63));
+      PutVarintSigned64(&bytes, static_cast<int64_t>(rng.Next() >> width) *
+                                    (rng.OneIn(2) ? 1 : -1));
+    }
+    bytes.append("tail");
+    for (size_t k = 0; k <= count; ++k) {
+      Slice skipped(bytes);
+      Slice decoded(bytes);
+      ASSERT_TRUE(SkipVarints(&skipped, k));
+      for (size_t i = 0; i < k; ++i) {
+        int64_t v;
+        ASSERT_TRUE(GetVarintSigned64(&decoded, &v));
+      }
+      EXPECT_EQ(skipped.data(), decoded.data()) << round << " " << k;
+    }
+    Slice all(bytes.data(), bytes.size() - 4);
+    EXPECT_FALSE(SkipVarints(&all, count + 1));
+    EXPECT_EQ(all.size(), bytes.size() - 4);  // Untouched on failure.
   }
 }
 

@@ -190,14 +190,19 @@ TEST_F(SystemTablesTest, ExplainProfileReturnsMetricRows) {
       "explain profile SELECT COUNT(*) FROM env_v WHERE id = 1");
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->columns, (std::vector<std::string>{"metric", "value"}));
-  ASSERT_EQ(r->rows.size(), 16u);
+  ASSERT_EQ(r->rows.size(), 17u);
   EXPECT_EQ(r->rows[0][0], Datum::String("path"));
   EXPECT_EQ(r->rows[0][1], Datum::String("summary-pushdown"));
   bool saw_total = false;
   bool saw_parallel = false;
   bool saw_cache = false;
   bool saw_spill = false;
+  bool saw_skipped = false;
   for (const Row& row : r->rows) {
+    if (row[0] == Datum::String("blob_bytes_skipped")) {
+      saw_skipped = true;  // Summaries answer: nothing fetched or skipped.
+      EXPECT_EQ(row[1], Datum::Int64(0));
+    }
     if (row[0] == Datum::String("rows_returned")) {
       EXPECT_EQ(row[1], Datum::Int64(1));
     }
@@ -225,6 +230,7 @@ TEST_F(SystemTablesTest, ExplainProfileReturnsMetricRows) {
   EXPECT_TRUE(saw_parallel);
   EXPECT_TRUE(saw_cache);
   EXPECT_TRUE(saw_spill);
+  EXPECT_TRUE(saw_skipped);
 
   // Only SELECT can be profiled.
   auto bad = odh_->engine()->Execute(

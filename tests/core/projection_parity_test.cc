@@ -7,10 +7,11 @@
 // the full one it stands for. Covered serial and parallel, with the blob
 // cache on and off, on an LD-shaped type (17 sparse tags, MG and
 // reorganized RTS/IRTS) and a TD-shaped one (regular and jittered
-// sources).
+// sources), and on a type whose blobs span several pages (below).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -306,6 +307,195 @@ INSTANTIATE_TEST_SUITE_P(Variants, ProjectionParityTest,
                                            Variant{true, false},
                                            Variant{true, true}),
                          Name);
+
+// --- Blobs longer than a page ----------------------------------------------
+//
+// A type of 8 noisy tags whose stored blobs span 3 pages or more: a scan of
+// one tag fetches only the head page, the header and directory and that
+// tag's sections of each blob (the projected fetch), and decodes only up to
+// its window's end. The tag is the first, a middle or the last; sources
+// are regular (RTS) and jittered (IRTS); scans run serial and parallel,
+// with the blob cache on and off, and with a buffer pool smaller than one
+// blob.
+
+constexpr int kWideTags = 8;
+constexpr int kWideSeconds = 150;
+
+struct PageVariant {
+  bool parallel;
+  bool cache;
+  bool tiny_pool;
+};
+
+std::string PageName(const ::testing::TestParamInfo<PageVariant>& info) {
+  return std::string(info.param.parallel ? "Parallel" : "Serial") +
+         (info.param.cache ? "Cache" : "NoCache") +
+         (info.param.tiny_pool ? "TinyPool" : "");
+}
+
+class MultiPageParityTest : public ::testing::TestWithParam<PageVariant> {
+ protected:
+  static OdhOptions Opts(const PageVariant& v) {
+    OdhOptions options;
+    options.batch_size = 400;
+    options.segment_span = 60 * kSec;
+    options.query_parallelism = v.parallel ? 4 : 0;
+    options.read_parallelism = v.parallel ? 4 : 0;
+    options.blob_cache_bytes = v.cache ? (8 << 20) : 0;
+    if (v.tiny_pool) options.pool_pages = 4;
+    return options;
+  }
+
+  MultiPageParityTest() : odh_(Opts(GetParam())) {
+    std::vector<std::string> tags;
+    for (int t = 0; t < kWideTags; ++t) tags.push_back("w" + std::to_string(t));
+    type_ = odh_.DefineSchemaType("wide", tags).value();
+    // Sources 1 and 3 are regular 10 Hz (RTS), 2 is jittered (IRTS).
+    for (SourceId id = 1; id <= 3; ++id) {
+      ODH_CHECK_OK(odh_.RegisterSource(id, type_, kSec / 10, id != 2));
+    }
+    Random rng(7);
+    for (Timestamp ms = 0; ms < kWideSeconds * 1000; ms += 100) {
+      for (SourceId id = 1; id <= 3; ++id) {
+        const Timestamp jitter = id == 2 ? (ms / 100 % 5) * 7000 : 0;
+        std::vector<double> values(kWideTags);
+        for (double& v : values) v = rng.NextDouble() * 1000;
+        ODH_CHECK_OK(odh_.Ingest({id, ms * 1000 + jitter, values}));
+      }
+    }
+    ODH_CHECK_OK(odh_.FlushAll());
+    ODH_CHECK_OK(odh_.CompactSegments(type_).status());
+  }
+
+  std::vector<Row> Query(const std::string& sql) {
+    auto r = odh_.engine()->Execute(sql);
+    ODH_CHECK_OK(r.status());
+    return std::move(r->rows);
+  }
+
+  /// `SELECT id, ts, w<tag> <rest>` against `SELECT * <rest>`, row by row.
+  void ExpectSameRows(int tag, const std::string& rest) {
+    const std::string projected =
+        "SELECT id, ts, w" + std::to_string(tag) + rest;
+    const std::vector<Row> got = Query(projected);
+    const std::vector<Row> all = Query("SELECT *" + rest);
+    ASSERT_EQ(got.size(), all.size()) << projected;
+    ASSERT_FALSE(got.empty()) << projected;
+    for (size_t i = 0; i < got.size(); ++i) {
+      const Row want = {all[i][0], all[i][1], all[i][2 + tag]};
+      for (size_t c = 0; c < 3; ++c) {
+        ASSERT_TRUE(got[i][c] == want[c])
+            << projected << " row " << i << " col " << c << ": "
+            << got[i][c].ToString() << " vs " << want[c].ToString();
+      }
+    }
+  }
+
+  /// The integer rows of EXPLAIN PROFILE `sql`, by name.
+  std::map<std::string, int64_t> Profile(const std::string& sql) {
+    std::map<std::string, int64_t> out;
+    for (const Row& row : Query("EXPLAIN PROFILE " + sql)) {
+      if (row[1].is_int64()) out[row[0].string_value()] = row[1].int64_value();
+    }
+    return out;
+  }
+
+  /// Disk pages `sql` reads from a cold pool.
+  uint64_t ColdPageReads(const std::string& sql) {
+    storage::BufferPool* pool = odh_.database()->pool();
+    ODH_CHECK_OK(pool->FlushAll());
+    pool->DropCleanPages();
+    const uint64_t before = odh_.database()->disk()->stats().page_reads;
+    Query(sql);
+    return odh_.database()->disk()->stats().page_reads - before;
+  }
+
+  static std::string Ts(double seconds) {
+    return std::to_string(static_cast<Timestamp>(seconds * kSec));
+  }
+
+  OdhSystem odh_;
+  int type_ = 0;
+};
+
+TEST_P(MultiPageParityTest, BlobsSpanThreePagesOrMore) {
+  const double page = static_cast<double>(storage::SimDisk::kDefaultPageSize);
+  EXPECT_GT(odh_.store()->rts_stats(type_).AvgBlobBytes(), 3 * page);
+  EXPECT_GT(odh_.store()->irts_stats(type_).AvgBlobBytes(), 3 * page);
+}
+
+TEST_P(MultiPageParityTest, HistoricalScans) {
+  for (int tag : {0, 3, kWideTags - 1}) {
+    for (SourceId id : {1, 2}) {
+      const std::string where = " FROM wide_v WHERE id = " + std::to_string(id);
+      ExpectSameRows(tag, where);
+      // A window that cuts blobs at both ends: bounded decodes.
+      ExpectSameRows(tag, where + " AND ts BETWEEN " + Ts(31.25) + " AND " +
+                              Ts(97.5));
+    }
+  }
+}
+
+TEST_P(MultiPageParityTest, SliceScans) {
+  for (int tag : {0, 3, kWideTags - 1}) {
+    ExpectSameRows(tag, " FROM wide_v WHERE ts >= " + Ts(12.5) +
+                            " AND ts <= " + Ts(133.3));
+  }
+  // A pushed tag filter reads zone maps, stored after the blob.
+  ExpectSameRows(5, " FROM wide_v WHERE ts >= " + Ts(40) + " AND ts <= " +
+                        Ts(110) + " AND w5 > 700");
+}
+
+TEST_P(MultiPageParityTest, AggregatesFoldWhatTheScanReturns) {
+  const std::string range =
+      " FROM wide_v WHERE ts >= " + Ts(20.05) + " AND ts <= " + Ts(121.7);
+  for (int tag : {0, kWideTags - 1}) {
+    const std::string col = "w" + std::to_string(tag);
+    const std::vector<Row> pushed =
+        Query("SELECT COUNT(" + col + "), SUM(" + col + "), MIN(" + col +
+              "), MAX(" + col + ")" + range);
+    int64_t count = 0;
+    double sum = 0, min = 0, max = 0;
+    for (const Row& r : Query("SELECT *" + range)) {
+      const double v = r[2 + tag].double_value();
+      min = count == 0 ? v : std::min(min, v);
+      max = count == 0 ? v : std::max(max, v);
+      sum += v;
+      ++count;
+    }
+    ASSERT_EQ(pushed.size(), 1u);
+    EXPECT_EQ(pushed[0][0], Datum::Int64(count));
+    EXPECT_TRUE(DatumsClose(pushed[0][1], Datum::Double(sum)));
+    EXPECT_TRUE(DatumsClose(pushed[0][2], Datum::Double(min)));
+    EXPECT_TRUE(DatumsClose(pushed[0][3], Datum::Double(max)));
+  }
+}
+
+TEST_P(MultiPageParityTest, OneTagFetchesLessThanEveryTag) {
+  const std::string one = "SELECT ts, w4 FROM wide_v WHERE id = 2";
+  const std::string all = "SELECT * FROM wide_v WHERE id = 2";
+  // First runs of each: with the cache on, they decode (and count) too.
+  std::map<std::string, int64_t> one_profile = Profile(one);
+  std::map<std::string, int64_t> all_profile = Profile(all);
+  EXPECT_GT(one_profile["blob_bytes_skipped"], 0);
+  EXPECT_EQ(all_profile["blob_bytes_skipped"], 0);
+  EXPECT_LT(one_profile["blob_bytes_read"], all_profile["blob_bytes_read"]);
+  // Fetched plus skipped is the stored blobs, less what zeroing the
+  // unrequested directory entries saved.
+  EXPECT_LE(one_profile["blob_bytes_read"] + one_profile["blob_bytes_skipped"],
+            all_profile["blob_bytes_read"]);
+  EXPECT_GT(one_profile["blob_bytes_read"] + one_profile["blob_bytes_skipped"],
+            all_profile["blob_bytes_read"] * 99 / 100);
+  EXPECT_LT(ColdPageReads(one), ColdPageReads(all));
+}
+
+INSTANTIATE_TEST_SUITE_P(Variants, MultiPageParityTest,
+                         ::testing::Values(PageVariant{false, false, false},
+                                           PageVariant{false, true, false},
+                                           PageVariant{true, false, false},
+                                           PageVariant{true, true, false},
+                                           PageVariant{false, false, true}),
+                         PageName);
 
 }  // namespace
 }  // namespace odh::core

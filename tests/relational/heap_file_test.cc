@@ -105,7 +105,7 @@ TEST_F(HeapFileTest, ScanVisitsAllLiveRecordsIncludingOverflow) {
   ASSERT_TRUE(it.SeekToFirst().ok());
   std::multiset<std::string> got;
   while (it.Valid()) {
-    got.insert(it.record().ToString());
+    got.insert(it.record().value().ToString());
     ASSERT_TRUE(it.Next().ok());
   }
   EXPECT_EQ(got, want);
@@ -120,7 +120,7 @@ TEST_F(HeapFileTest, ScanSkipsDeleted) {
   auto it = heap_->NewIterator();
   ASSERT_TRUE(it.SeekToFirst().ok());
   ASSERT_TRUE(it.Valid());
-  EXPECT_EQ(it.record(), "b");
+  EXPECT_EQ(it.record().value(), "b");
   ASSERT_TRUE(it.Next().ok());
   EXPECT_FALSE(it.Valid());
 }
@@ -205,6 +205,170 @@ INSTANTIATE_TEST_SUITE_P(RandomOps, HeapFilePropertyTest,
                          ::testing::Values(HeapPropertyParam{1, 1500},
                                            HeapPropertyParam{2, 3000},
                                            HeapPropertyParam{3, 800}));
+
+// Ranged reads of overflow chains. Pages are 512 bytes with a 4-byte CRC
+// trailer: a chain's head page carries kFirst record bytes, each
+// continuation page kCont.
+constexpr size_t kFirst = 512 - 4 - 8;
+constexpr size_t kCont = 512 - 4 - 4;
+
+std::string Pattern(size_t size, int seed) {
+  std::string out(size, '\0');
+  for (size_t i = 0; i < size; ++i) {
+    out[i] = static_cast<char>((i * 131 + static_cast<size_t>(seed) * 7) % 251);
+  }
+  return out;
+}
+
+/// Record sizes of `pages` pages: a slotted record for one page, else the
+/// shortest and the longest chain of that many pages.
+std::vector<size_t> SizesOfPages(int pages) {
+  if (pages == 1) return {300};
+  const size_t full = kFirst + static_cast<size_t>(pages - 1) * kCont;
+  return {full - kCont + 1, full};
+}
+
+TEST_F(HeapFileTest, ReadRangeReturnsTheBytesAskedFor) {
+  for (int pages = 1; pages <= 6; ++pages) {
+    for (size_t size : SizesOfPages(pages)) {
+      const std::string rec = Pattern(size, pages);
+      const Rid rid = heap_->Insert(Slice(rec)).value();
+      struct Range {
+        const char* what;
+        size_t offset, len;
+      };
+      std::vector<Range> ranges = {
+          {"head only", 3, std::min<size_t>(size - 3, 40)},
+          {"whole", 0, size},
+          {"tail", size - 25, 25},
+          {"empty at end", size, 0},
+      };
+      if (pages >= 2) {
+        ranges.push_back({"to the head page's end", 10, kFirst - 10});
+        ranges.push_back({"across the first boundary", kFirst - 5, 10});
+        ranges.push_back({"ends on a page boundary", kFirst + kCont - 100,
+                          100});
+      }
+      if (pages >= 3) {
+        ranges.push_back({"middle only", kFirst + kCont + 7, 30});
+        ranges.push_back({"one whole middle page", kFirst + kCont, kCont});
+      }
+      HeapFile::RecordBuffer buf;
+      ASSERT_TRUE(heap_->ReadHead(rid, &buf).ok());
+      EXPECT_EQ(buf.size(), size);
+      EXPECT_EQ(buf.complete(), pages == 1);
+      EXPECT_TRUE(buf.data().ToString() ==
+                  rec.substr(0, std::min(size, pages == 1 ? size : kFirst)));
+      for (const Range& r : ranges) {
+        if (r.offset + r.len > size) continue;  // Shortest chains.
+        std::string got = "prefix";
+        ASSERT_TRUE(heap_->ReadRange(buf, r.offset, r.len, &got).ok())
+            << pages << " pages, " << r.what;
+        EXPECT_TRUE(got == "prefix" + rec.substr(r.offset, r.len))
+            << pages << " pages, size " << size << ", " << r.what;
+      }
+      std::string past;
+      EXPECT_TRUE(heap_->ReadRange(buf, size - 3, 4, &past).code() == StatusCode::kOutOfRange);
+      EXPECT_TRUE(heap_->ReadRange(buf, size + 1, 0, &past).code() == StatusCode::kOutOfRange);
+      // A whole read of the same record agrees.
+      ASSERT_TRUE(heap_->Read(rid, &buf).ok());
+      EXPECT_TRUE(buf.complete());
+      EXPECT_TRUE(buf.data().ToString() == rec);
+    }
+  }
+}
+
+TEST_F(HeapFileTest, ReadRangeFetchesOnlyThePagesItCovers) {
+  const std::string rec = Pattern(kFirst + 4 * kCont, 1);  // 5 pages.
+  const Rid rid = heap_->Insert(Slice(rec)).value();
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  pool_.DropCleanPages();
+  const uint64_t reads0 = disk_.stats().page_reads;
+  HeapFile::RecordBuffer buf;
+  ASSERT_TRUE(heap_->ReadHead(rid, &buf).ok());
+  EXPECT_EQ(disk_.stats().page_reads - reads0, 1u);  // The head page.
+  std::string got;
+  // Bytes of continuation page 3 only.
+  ASSERT_TRUE(
+      heap_->ReadRange(buf, kFirst + 2 * kCont + 1, kCont - 2, &got).ok());
+  EXPECT_EQ(got, rec.substr(kFirst + 2 * kCont + 1, kCont - 2));
+  EXPECT_EQ(disk_.stats().page_reads - reads0, 2u);
+  // Head bytes come from the pinned head page.
+  ASSERT_TRUE(heap_->ReadRange(buf, 0, kFirst, &got).ok());
+  EXPECT_EQ(disk_.stats().page_reads - reads0, 2u);
+}
+
+TEST_F(HeapFileTest, ReadRangeReportsABrokenChain) {
+  const std::string rec = Pattern(kFirst + 2 * kCont, 2);  // 3 pages.
+  const Rid rid = heap_->Insert(Slice(rec)).value();
+  {
+    // Overwrite the second continuation page's type byte.
+    storage::PageRef page = pool_.FetchPage(heap_->file(), rid.page + 2)
+                                .value();
+    page.data()[0] = 1;
+    page.MarkDirty();
+  }
+  HeapFile::RecordBuffer buf;
+  ASSERT_TRUE(heap_->ReadHead(rid, &buf).ok());
+  std::string got;
+  EXPECT_TRUE(heap_->ReadRange(buf, 0, kFirst + kCont, &got).ok());
+  EXPECT_TRUE(heap_->ReadRange(buf, kFirst + kCont, 1, &got).IsCorruption());
+  EXPECT_TRUE(heap_->Read(rid, &buf).IsCorruption());
+}
+
+TEST_F(HeapFileTest, IteratorYieldsChainHeadsAndStepsOverUnreadPages) {
+  // Chains of 2, 4 and 6 pages between small records (which share one
+  // slotted page, so physical order is not insertion order).
+  std::map<size_t, std::string> by_size;
+  for (int i = 0; i < 6; ++i) {
+    const std::string rec =
+        i % 2 == 0 ? Pattern(kFirst + static_cast<size_t>(i + 1) * kCont - 9, i)
+                   : "small" + std::string(static_cast<size_t>(i), '+');
+    by_size[rec.size()] = rec;
+    heap_->Insert(Slice(rec)).value();
+  }
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  const uint64_t file_pages = disk_.PageCount(heap_->file()).value();
+  for (bool assemble : {false, true}) {
+    pool_.DropCleanPages();
+    const uint64_t reads0 = disk_.stats().page_reads;
+    auto it = heap_->NewIterator();
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    size_t n = 0;
+    while (it.Valid()) {
+      auto want = by_size.find(it.buffer().size());
+      ASSERT_NE(want, by_size.end());
+      EXPECT_TRUE(it.buffer().data().ToString() ==
+                  want->second.substr(0, std::min(want->second.size(), kFirst)));
+      if (assemble) {
+        EXPECT_TRUE(it.record().value().ToString() == want->second);
+      }
+      ASSERT_TRUE(it.Next().ok());
+      ++n;
+    }
+    EXPECT_EQ(n, by_size.size());
+    const uint64_t reads = disk_.stats().page_reads - reads0;
+    if (assemble) {
+      EXPECT_EQ(reads, file_pages);  // Every page, each once.
+    } else {
+      EXPECT_EQ(reads, 4u);  // Three chain heads and the slotted page.
+    }
+  }
+}
+
+TEST_F(HeapFileTest, SeekAfterAChainHeadStepsOverIt) {
+  const Rid big = heap_->Insert(Slice(Pattern(kFirst + 3 * kCont, 3))).value();
+  heap_->Insert(Slice("after")).value();
+  ASSERT_TRUE(pool_.FlushAll().ok());
+  pool_.DropCleanPages();
+  const uint64_t reads0 = disk_.stats().page_reads;
+  auto it = heap_->NewIterator();
+  ASSERT_TRUE(it.SeekAfter(big).ok());
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.record().value(), "after");
+  // The chain's head (for its length) and the slotted page after it.
+  EXPECT_EQ(disk_.stats().page_reads - reads0, 2u);
+}
 
 }  // namespace
 }  // namespace odh::relational

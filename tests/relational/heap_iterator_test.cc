@@ -43,7 +43,7 @@ class HeapIteratorTest : public ::testing::Test {
   static std::vector<std::string> Drain(HeapFile::Iterator* it) {
     std::vector<std::string> out;
     while (it->Valid()) {
-      out.push_back(it->record().ToString());
+      out.push_back(it->record().value().ToString());
       if (!it->Next().ok()) break;
     }
     return out;
@@ -77,7 +77,7 @@ TEST_F(HeapIteratorTest, RecordsAppendedWhileOpenAreSeen) {
   // opened.
   for (int i = 0; i < 29; ++i) {
     ASSERT_TRUE(it.Valid());
-    got.push_back(it.record().ToString());
+    got.push_back(it.record().value().ToString());
     ASSERT_TRUE(it.Next().ok());
   }
   ASSERT_TRUE(it.Valid());
@@ -112,7 +112,7 @@ TEST_F(HeapIteratorTest, SeveralIteratorsShareAnEightFramePool) {
     for (int k = 0; k < kIterators; ++k) {
       if (!its[k].Valid()) continue;
       any = true;
-      got[k].push_back(its[k].record().ToString());
+      got[k].push_back(its[k].record().value().ToString());
       ASSERT_TRUE(its[k].Next().ok()) << "iterator " << k;
     }
   }
